@@ -56,8 +56,10 @@ var deterministicPkgs = map[string]bool{
 	"internal/concolic/solver":  true,
 	"internal/netem":            true,
 	"internal/node":             true,
+	"internal/speaker":          true,
 	"internal/bird":             true,
 	"internal/frr":              true,
+	"internal/obgpd":            true,
 	"internal/bgp":              true,
 	"internal/bgp/policy":       true,
 	"internal/bgp/rib":          true,

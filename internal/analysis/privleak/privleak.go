@@ -17,7 +17,8 @@
 //   - checker.Violation: its Detail string quotes node-local evidence; only
 //     the ViolationDigest projection may cross (PR 3's privacy test, now
 //     static);
-//   - any named type from internal/bird, internal/frr, internal/checkpoint,
+//   - any named type from internal/speaker, its dialect packages
+//     (internal/bird, internal/frr, internal/obgpd), internal/checkpoint,
 //     internal/bgp/rib or internal/netem: router state, configuration and
 //     checkpoint payloads never leave their domain;
 //   - node.RouteRecord, node.PeerRouteMap, node.Config, node.SessionRecord,
@@ -57,6 +58,7 @@ const (
 
 // poisonPkgs are packages whose every named type is domain-local state.
 var poisonPkgs = map[string]bool{
+	analysis.ModulePath + "/internal/speaker":    true,
 	analysis.ModulePath + "/internal/bird":       true,
 	analysis.ModulePath + "/internal/frr":        true,
 	analysis.ModulePath + "/internal/obgpd":      true,

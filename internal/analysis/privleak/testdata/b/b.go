@@ -1,14 +1,14 @@
 // Package b mirrors the procdriver frame protocol: every frame crosses the
 // parent/child process boundary, so payloads must be canonical and
 // self-contained — dialect text, codec-encoded snapshot bytes and counters.
-// Raw speaker state (including the new obgpd package), checker evidence and
+// Raw speaker state (including the engine counters), checker evidence and
 // live handles must stay on their own side of the pipe.
 package b
 
 import (
 	"github.com/dice-project/dice/internal/checker"
 	"github.com/dice-project/dice/internal/node"
-	"github.com/dice-project/dice/internal/obgpd"
+	"github.com/dice-project/dice/internal/speaker"
 )
 
 // GoodFrame is the canonical request/response shape: an op code, the
@@ -29,11 +29,11 @@ type BadState struct { // want `reaches node\.PeerRouteMap`
 	Routes node.PeerRouteMap
 }
 
-// BadEngine leaks obgpd engine internals instead of the codec form.
+// BadEngine leaks speaker engine internals instead of the codec form.
 //
 //dice:boundary
-type BadEngine struct { // want `reaches obgpd\.EngineStats`
-	Stats obgpd.EngineStats
+type BadEngine struct { // want `reaches speaker\.EngineStats`
+	Stats speaker.EngineStats
 }
 
 // BadViolationFrame returns checker evidence wholesale instead of digests.

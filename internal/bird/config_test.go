@@ -7,13 +7,14 @@ import (
 
 	"github.com/dice-project/dice/internal/bgp"
 	"github.com/dice-project/dice/internal/bgp/policy"
+	"github.com/dice-project/dice/internal/node"
 )
 
 // TestConfigPrivacyCovers locks the privacy contract to the struct: every
 // Config field must carry a deliberate classification, so adding a field
 // without deciding whether it may cross a domain boundary fails here.
 func TestConfigPrivacyCovers(t *testing.T) {
-	classes := ConfigPrivacy()
+	classes := node.ConfigPrivacy()
 	typ := reflect.TypeOf(Config{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
@@ -49,7 +50,7 @@ func TestConfigRedacted(t *testing.T) {
 	}
 	red := cfg.Redacted()
 
-	classes := ConfigPrivacy()
+	classes := node.ConfigPrivacy()
 	cv := reflect.ValueOf(*cfg)
 	rv := reflect.ValueOf(*red)
 	typ := reflect.TypeOf(Config{})
@@ -57,11 +58,11 @@ func TestConfigRedacted(t *testing.T) {
 		name := typ.Field(i).Name
 		got := rv.Field(i)
 		switch classes[name] {
-		case PrivacyShared:
+		case node.PrivacyShared:
 			if !reflect.DeepEqual(got.Interface(), cv.Field(i).Interface()) {
 				t.Errorf("shared field %s not preserved: %v", name, got)
 			}
-		case PrivacyPrivate:
+		case node.PrivacyPrivate:
 			if !got.IsZero() {
 				t.Errorf("private field %s survived redaction: %v", name, got)
 			}

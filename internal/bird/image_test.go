@@ -2,14 +2,16 @@ package bird
 
 import (
 	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 
 	"github.com/dice-project/dice/internal/bgp"
 	"github.com/dice-project/dice/internal/bgp/policy"
-	"github.com/dice-project/dice/internal/bgp/rib"
+	"github.com/dice-project/dice/internal/concolic"
 	"github.com/dice-project/dice/internal/netem"
 	"github.com/dice-project/dice/internal/node"
+	"github.com/dice-project/dice/internal/speaker"
 )
 
 // canonical returns a deterministic byte form of a checkpoint (encoding/json
@@ -44,7 +46,7 @@ func convergedPair(t testing.TB) *Router {
 	net.AddNode(r2)
 	net.Connect("R1", "R2", netem.LinkConfig{Delay: time.Millisecond})
 	net.RunQuiescent(0)
-	if r1.SessionState("R2") != StateEstablished {
+	if r1.SessionState("R2") != speaker.StateEstablished {
 		t.Fatal("pair did not converge")
 	}
 	return r1
@@ -53,15 +55,15 @@ func convergedPair(t testing.TB) *Router {
 func TestImageRestoreMatchesColdRestore(t *testing.T) {
 	cp := convergedPair(t).Checkpoint()
 
-	cold, err := Restore(cp)
+	cold, err := Dialect.Restore(cp)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	im, err := ImageOf(cp)
+	im, err := Dialect.ImageOf(cp)
 	if err != nil {
 		t.Fatalf("ImageOf: %v", err)
 	}
-	st, err := DecodeState(cp)
+	st, err := Dialect.DecodeState(cp)
 	if err != nil {
 		t.Fatalf("DecodeState: %v", err)
 	}
@@ -76,11 +78,11 @@ func TestImageRestoreMatchesColdRestore(t *testing.T) {
 
 func TestResetToRewindsDirtyRouter(t *testing.T) {
 	cp := convergedPair(t).Checkpoint()
-	im, err := ImageOf(cp)
+	im, err := Dialect.ImageOf(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := DecodeState(cp)
+	st, err := Dialect.DecodeState(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,19 +94,28 @@ func TestResetToRewindsDirtyRouter(t *testing.T) {
 
 	// Dirty every kind of mutable state: RIBs, counters, events, sessions,
 	// crash flags, fault hooks and armed explorations.
-	leaked := &rib.Route{
-		Prefix: bgp.MustParsePrefix("99.9.0.0/16"),
-		Attrs:  &bgp.PathAttributes{Origin: bgp.OriginIGP, ASPath: []bgp.ASN{65099}, NextHop: 9},
-		Peer:   "R2", PeerAS: 65002, EBGP: true,
+	hookCalls := 0
+	clone.SetUpdateHook(func(r node.HookContext, from string, u *bgp.Update) error {
+		hookCalls++
+		if u.NLRI[0].Len == 24 {
+			return errors.New("boom")
+		}
+		return nil
+	})
+	announce := func(prefix string) []byte {
+		attrs := &bgp.PathAttributes{Origin: bgp.OriginIGP, ASPath: []bgp.ASN{65002, 65099}, NextHop: 9}
+		return bgp.Encode(&bgp.Update{Attrs: attrs, NLRI: []bgp.Prefix{bgp.MustParsePrefix(prefix)}})
 	}
-	clone.adjIn["R2"].Set(leaked.Clone())
-	clone.locRIB.Update(nil, leaked)
-	clone.stats.UpdatesReceived += 7
-	clone.events = append(clone.events, RouteEvent{At: time.Second, Prefix: leaked.Prefix, NewVia: "R2"})
-	clone.sessions["R2"].downCount++
-	clone.panicked = true
-	clone.lastPanic = "boom"
-	clone.SetUpdateHook(func(r node.HookContext, from string, u *bgp.Update) error { return nil })
+	net := netem.New(netem.Options{Seed: 2})
+	net.AddNode(clone)
+	net.InjectMessage("R2", "R1", announce("99.9.0.0/16"), 0)
+	net.InjectMessage("R2", "R1", announce("99.9.9.0/24"), 0)
+	net.InjectMessage("R2", "R1", bgp.Encode(&bgp.Notification{Code: bgp.ErrCease}), 0)
+	net.Run(net.Now() + time.Second)
+	clone.ExploreNextUpdate(concolic.NewMachine(concolic.NewInput("update", nil), concolic.MachineOptions{}), "R2")
+	if p, _ := clone.Panicked(); !p || hookCalls != 2 {
+		t.Fatalf("dirtying did not crash the handler (panicked %v, %d hook calls)", p, hookCalls)
+	}
 	if canonical(t, clone.Checkpoint()) == baseline {
 		t.Fatal("dirtying the clone did not change its checkpoint; test is vacuous")
 	}
@@ -115,11 +126,20 @@ func TestResetToRewindsDirtyRouter(t *testing.T) {
 	if got := canonical(t, clone.Checkpoint()); got != baseline {
 		t.Errorf("reset clone differs from baseline:\n got %s\nwant %s", got, baseline)
 	}
-	if clone.hook != nil {
-		t.Errorf("reset must clear the fault hook")
-	}
 	if p, _ := clone.Panicked(); p {
 		t.Errorf("reset must clear the crash flag")
+	}
+	// The hook and the armed machine are gone: the next UPDATE is handled
+	// concretely and unobserved.
+	net = netem.New(netem.Options{Seed: 2})
+	net.AddNode(clone)
+	net.InjectMessage("R2", "R1", announce("99.9.9.0/24"), 0)
+	net.RunQuiescent(0)
+	if hookCalls != 2 {
+		t.Errorf("reset must clear the fault hook")
+	}
+	if clone.Stats().ExploredSymbolic != 0 {
+		t.Errorf("reset must disarm the pending exploration")
 	}
 }
 
@@ -128,11 +148,11 @@ func TestResetToRewindsDirtyRouter(t *testing.T) {
 // into a sibling restored from the same State.
 func TestRestoredClonesIsolated(t *testing.T) {
 	cp := convergedPair(t).Checkpoint()
-	im, err := ImageOf(cp)
+	im, err := Dialect.ImageOf(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := DecodeState(cp)
+	st, err := Dialect.DecodeState(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +177,12 @@ func TestRestoredClonesIsolated(t *testing.T) {
 // TestImageOfSerializedCheckpoint covers the cross-process path: a checkpoint
 // that lost its in-process config must image from the textual policy form.
 func TestImageOfSerializedCheckpoint(t *testing.T) {
-	cp := convergedPair(t).Checkpoint()
-	cp.cfg = nil // simulate a checkpoint that crossed a process boundary
-	im, err := ImageOf(cp)
+	cp := serialized(t, convergedPair(t).Checkpoint())
+	im, err := Dialect.ImageOf(cp)
 	if err != nil {
 		t.Fatalf("ImageOf(serialized): %v", err)
 	}
-	st, err := DecodeState(cp)
+	st, err := Dialect.DecodeState(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +190,7 @@ func TestImageOfSerializedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.SessionState("R2") != StateEstablished {
+	if r.SessionState("R2") != speaker.StateEstablished {
 		t.Errorf("restored router lost session state")
 	}
 	if r.LocRIB().Best(bgp.MustParsePrefix("10.2.0.0/16")) == nil {

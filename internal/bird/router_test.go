@@ -11,12 +11,14 @@ import (
 	"github.com/dice-project/dice/internal/concolic"
 	"github.com/dice-project/dice/internal/netem"
 	"github.com/dice-project/dice/internal/node"
+	"github.com/dice-project/dice/internal/speaker"
 )
 
 // buildLine builds a line topology R1-R2-...-Rn of routers with accept-all
 // policies, each originating 10.i.0.0/16, and returns the network plus the
-// routers by name.
-func buildLine(t *testing.T, n int) (*netem.Network, map[string]*Router) {
+// routers by name. Each tweak edits the configurations before the routers are
+// built.
+func buildLine(t *testing.T, n int, tweaks ...func(cfg *Config)) (*netem.Network, map[string]*Router) {
 	t.Helper()
 	net := netem.New(netem.Options{Seed: 1})
 	routers := make(map[string]*Router)
@@ -35,6 +37,9 @@ func buildLine(t *testing.T, n int) (*netem.Network, map[string]*Router) {
 		if i < n {
 			cfg.Neighbors = append(cfg.Neighbors, NeighborConfig{Name: name(i + 1), AS: bgp.ASN(65000 + i + 1), Import: "ALL", Export: "ALL"})
 		}
+		for _, tweak := range tweaks {
+			tweak(cfg)
+		}
 		r := MustNew(cfg)
 		routers[cfg.Name] = r
 		net.AddNode(r)
@@ -43,6 +48,23 @@ func buildLine(t *testing.T, n int) (*netem.Network, map[string]*Router) {
 		net.Connect(netem.NodeID(name(i)), netem.NodeID(name(i+1)), netem.LinkConfig{Delay: 5 * time.Millisecond})
 	}
 	return net, routers
+}
+
+// serialized passes a checkpoint through its canonical encoding, as crossing
+// a process boundary does: the result has lost its in-process configuration
+// and restores from the dialect text.
+func serialized(t testing.TB, cp *Checkpoint) *Checkpoint {
+	t.Helper()
+	be := Dialect.Backend()
+	payload, err := be.EncodeCanonical(cp)
+	if err != nil {
+		t.Fatalf("EncodeCanonical: %v", err)
+	}
+	out, err := be.DecodeCanonical(payload)
+	if err != nil {
+		t.Fatalf("DecodeCanonical: %v", err)
+	}
+	return out.(*Checkpoint)
 }
 
 func prefixOf(i int) bgp.Prefix {
@@ -54,7 +76,7 @@ func TestTwoRoutersConverge(t *testing.T) {
 	net.RunQuiescent(0)
 
 	r1, r2 := routers["R1"], routers["R2"]
-	if r1.SessionState("R2") != StateEstablished || r2.SessionState("R1") != StateEstablished {
+	if r1.SessionState("R2") != speaker.StateEstablished || r2.SessionState("R1") != speaker.StateEstablished {
 		t.Fatalf("sessions not established: %v / %v", r1.SessionState("R2"), r2.SessionState("R1"))
 	}
 	if r1.LocRIB().Best(prefixOf(2)) == nil {
@@ -100,16 +122,18 @@ func TestLinePropagationASPath(t *testing.T) {
 }
 
 func TestImportPolicyRejects(t *testing.T) {
-	net, routers := buildLine(t, 2)
 	// R2 rejects R1's prefix on import.
 	pol, err := policy.ParsePolicy(`policy BLOCK { if prefix = 10.1.0.0/16 { reject } default accept }`)
 	if err != nil {
 		t.Fatal(err)
 	}
+	net, routers := buildLine(t, 2, func(cfg *Config) {
+		if cfg.Name == "R2" {
+			cfg.Policies["BLOCK"] = pol
+			cfg.Neighbors[0].Import = "BLOCK"
+		}
+	})
 	r2 := routers["R2"]
-	r2.cfg.Policies["BLOCK"] = pol
-	r2.cfg.Neighbors[0].Import = "BLOCK"
-	r2.sessions["R1"].importPolicy = "BLOCK"
 
 	net.RunQuiescent(0)
 	if r2.LocRIB().Best(prefixOf(1)) != nil {
@@ -125,20 +149,18 @@ func TestImportPolicyRejects(t *testing.T) {
 }
 
 func TestExportPolicyFilters(t *testing.T) {
-	net, routers := buildLine(t, 3)
 	// R2 refuses to export R1's prefix to R3.
 	pol, err := policy.ParsePolicy(`policy NOEXPORT { if prefix = 10.1.0.0/16 { reject } default accept }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := routers["R2"]
-	r2.cfg.Policies["NOEXPORT"] = pol
-	for i := range r2.cfg.Neighbors {
-		if r2.cfg.Neighbors[i].Name == "R3" {
-			r2.cfg.Neighbors[i].Export = "NOEXPORT"
+	net, routers := buildLine(t, 3, func(cfg *Config) {
+		if cfg.Name == "R2" {
+			cfg.Policies["NOEXPORT"] = pol
+			cfg.Neighbor("R3").Export = "NOEXPORT"
 		}
-	}
-	r2.sessions["R3"].exportPolicy = "NOEXPORT"
+	})
+	r2 := routers["R2"]
 
 	net.RunQuiescent(0)
 	if routers["R3"].LocRIB().Best(prefixOf(1)) != nil {
@@ -184,17 +206,17 @@ func TestSessionResetWithdrawsRoutes(t *testing.T) {
 	net.Run(net.Now() + 2*time.Second) // bounded: the retry timer re-opens the session later
 
 	r2 := routers["R2"]
-	if r2.SessionState("R1") == StateEstablished {
+	if r2.SessionState("R1") == speaker.StateEstablished {
 		t.Errorf("session should have left Established after NOTIFICATION")
 	}
 	found := false
-	for _, s := range r2.Sessions() {
+	for _, s := range r2.Checkpoint().Sessions {
 		if s.Peer == "R1" && s.DownCount > 0 && s.NotificationsReceived > 0 {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("session counters not updated: %+v", r2.Sessions())
+		t.Errorf("session counters not updated: %+v", r2.Checkpoint().Sessions)
 	}
 	if r2.LocRIB().Best(prefixOf(1)) != nil {
 		t.Errorf("routes learned from the reset session must be withdrawn")
@@ -255,7 +277,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	r2 := routers["R2"]
 
 	cp := r2.Checkpoint()
-	restored, err := Restore(cp)
+	restored, err := Dialect.Restore(cp)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -291,9 +313,8 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 func TestCheckpointRestoreFromTextOnly(t *testing.T) {
 	net, routers := buildLine(t, 2)
 	net.RunQuiescent(0)
-	cp := routers["R2"].Checkpoint()
-	cp.cfg = nil // simulate a checkpoint that crossed a process boundary
-	restored, err := Restore(cp)
+	cp := serialized(t, routers["R2"].Checkpoint())
+	restored, err := Dialect.Restore(cp)
 	if err != nil {
 		t.Fatalf("Restore from text: %v", err)
 	}
@@ -306,9 +327,9 @@ func TestCloneIsolation(t *testing.T) {
 	net, routers := buildLine(t, 2)
 	net.RunQuiescent(0)
 	r2 := routers["R2"]
-	clone, err := r2.Clone()
+	clone, err := Dialect.Restore(r2.Checkpoint())
 	if err != nil {
-		t.Fatalf("Clone: %v", err)
+		t.Fatalf("Restore: %v", err)
 	}
 	// Drive the clone with an extra announcement on an isolated network; the
 	// original must not observe it.
@@ -426,7 +447,7 @@ func TestKeepalivesWhenEnabled(t *testing.T) {
 	if r1.Stats().KeepalivesSent < 3 {
 		t.Errorf("periodic keepalives not sent: %d", r1.Stats().KeepalivesSent)
 	}
-	if r1.SessionState("B") != StateEstablished {
+	if r1.SessionState("B") != speaker.StateEstablished {
 		t.Errorf("session should be established")
 	}
 }
@@ -462,7 +483,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestSessionStateString(t *testing.T) {
-	for _, s := range []SessionState{StateIdle, StateOpenSent, StateOpenConfirm, StateEstablished} {
+	for _, s := range []speaker.SessionState{speaker.StateIdle, speaker.StateOpenSent, speaker.StateOpenConfirm, speaker.StateEstablished} {
 		if s.String() == "" {
 			t.Errorf("empty state name for %d", s)
 		}

@@ -7,6 +7,7 @@ import (
 	"github.com/dice-project/dice/internal/bgp"
 	"github.com/dice-project/dice/internal/bgp/policy"
 	"github.com/dice-project/dice/internal/netem"
+	"github.com/dice-project/dice/internal/speaker"
 )
 
 // TestRoutersConvergeOverTCP runs two emulated routers over real loopback TCP
@@ -56,7 +57,7 @@ func TestRoutersConvergeOverTCP(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	var s1, s2 SessionState
+	var s1, s2 speaker.SessionState
 	var invariants []string
 	inspect(r1, func() {
 		s1 = r1.SessionState("B")
@@ -67,7 +68,7 @@ func TestRoutersConvergeOverTCP(t *testing.T) {
 		s2 = r2.SessionState("A")
 		r2Learned = r2.LocRIB().Best(bgp.MustParsePrefix("10.1.0.0/16")) != nil
 	})
-	if s1 != StateEstablished || s2 != StateEstablished {
+	if s1 != speaker.StateEstablished || s2 != speaker.StateEstablished {
 		t.Fatalf("sessions did not establish over TCP: %v / %v", s1, s2)
 	}
 	if !r1Learned {

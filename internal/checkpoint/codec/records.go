@@ -6,9 +6,9 @@ import (
 
 // This file encodes the serializable record forms shared by every backend
 // (package node's RouteRecord, SessionRecord, EventRecord, RouterStats and
-// PeerRouteMap) into the codec's flat slabs. Both backends' canonical
-// checkpoint payloads are assembled almost entirely from these helpers; what
-// differs per backend is only the configuration dialect wrapped around them.
+// PeerRouteMap) into the codec's flat slabs. The speaker's canonical
+// checkpoint payload is assembled almost entirely from these helpers; what
+// differs per dialect is only the configuration section wrapped around them.
 
 // Route record flag bits (the four booleans packed into one byte).
 const (

@@ -47,8 +47,8 @@ func TestBuildUnknownImplementationFails(t *testing.T) {
 // TestMixedPooledResetEquivalentToColdRebuild extends the golden
 // clone-lifecycle property to heterogeneous deployments: on the mixed
 // Demo27 variant, a pooled clone reset must be byte-identical to a cold
-// rebuild — bird nodes through the slab path, frr nodes through the
-// clone-per-route path — and stay identical under further execution.
+// rebuild — bird and frr nodes alike through the shared slab path — and stay
+// identical under further execution.
 func TestMixedPooledResetEquivalentToColdRebuild(t *testing.T) {
 	topo := topology.Demo27Hetero()
 	opts := Options{Seed: 3, GaoRexford: true}

@@ -16,9 +16,11 @@
 //   - Config is the shared semantic configuration the cluster layer produces;
 //     each backend lowers it into its own dialect.
 //
-// The concrete backends are internal/bird (the BIRD-like speaker the paper
-// instruments) and internal/frr (an FRR-flavored speaker with its own config
-// dialect and tie-break order).
+// The concrete backends are three dialects of one router, internal/speaker:
+// internal/bird (the BIRD-like speaker the paper instruments, and the
+// default), internal/frr and internal/obgpd, each a configuration text form,
+// a tie-break order and a few observable quirks; internal/node/procdriver
+// wraps any of them in a child process.
 package node
 
 import (
@@ -47,7 +49,7 @@ type HookContext interface {
 type UpdateHook func(r HookContext, from string, u *bgp.Update) error
 
 // RouterStats counts router activity. All counters are cumulative since the
-// router was created (and survive checkpointing). Both backends keep the
+// router was created (and survive checkpointing). Every backend keeps the
 // same counter set, so the stats are comparable across implementations.
 type RouterStats struct {
 	UpdatesReceived    int
@@ -82,7 +84,7 @@ type RouteEvent struct {
 // concrete type belongs to the backend that produced it; the snapshot layer
 // treats it as opaque data tagged with the node name and the implementation
 // needed to restore it. Backends gob-register their concrete checkpoint
-// types so mixed-implementation snapshots cross process boundaries.
+// type so mixed-implementation snapshots cross process boundaries.
 type Checkpoint interface {
 	// NodeName is the checkpointed router's name.
 	NodeName() string
@@ -111,7 +113,7 @@ type State any
 type Router interface {
 	netem.Node
 
-	// Implementation names the backend ("bird", "frr").
+	// Implementation names the backend ("bird", "frr", "obgpd").
 	Implementation() string
 	// Config returns the router's semantic configuration. Callers must not
 	// mutate it.

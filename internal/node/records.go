@@ -11,7 +11,7 @@ import (
 
 // RouteRecord is the serializable form of one RIB entry. It carries no
 // pointers or interfaces so it can be encoded with encoding/gob or JSON.
-// Both backends checkpoint their RIB contents as RouteRecords; what differs
+// Every backend checkpoints its RIB contents as RouteRecords; what differs
 // per backend is the configuration dialect wrapped around them.
 type RouteRecord struct {
 	Prefix       string

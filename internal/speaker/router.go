@@ -1,9 +1,8 @@
-package bird
+package speaker
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"strings"
 	"time"
 
 	"github.com/dice-project/dice/internal/bgp"
@@ -14,76 +13,71 @@ import (
 	"github.com/dice-project/dice/internal/node"
 )
 
-// Implementation is this backend's registry tag.
-const Implementation = "bird"
+// SessionState is the BGP finite state machine state of one neighbor session
+// (RFC 4271 §8). The emulated transport has no separate TCP connection phase,
+// so Connect and Active collapse into Idle/OpenSent.
+type SessionState int
 
-// init registers the backend so implementation-neutral code (cluster builds,
-// snapshot stores) can construct and restore bird routers by tag, and makes
-// bird checkpoints gob-encodable inside mixed-implementation snapshots.
-func init() {
-	gob.Register(&Checkpoint{})
-	node.Register(node.Backend{
-		Name:     Implementation,
-		Decision: rib.DecisionRouterIDFirst,
-		Build: func(cfg *Config) (node.Router, error) {
-			return New(cfg)
-		},
-		ImageOf: func(cp node.Checkpoint) (node.Image, error) {
-			bcp, ok := cp.(*Checkpoint)
-			if !ok {
-				return nil, fmt.Errorf("bird: checkpoint for %s is %T, not a bird checkpoint", cp.NodeName(), cp)
-			}
-			return ImageOf(bcp)
-		},
-		DecodeState: func(cp node.Checkpoint) (node.State, error) {
-			bcp, ok := cp.(*Checkpoint)
-			if !ok {
-				return nil, fmt.Errorf("bird: checkpoint for %s is %T, not a bird checkpoint", cp.NodeName(), cp)
-			}
-			return DecodeState(bcp)
-		},
-		Restore: func(im node.Image, st node.State) (node.Router, error) {
-			bim, ok := im.(*Image)
-			if !ok {
-				return nil, fmt.Errorf("bird: image for %s is %T, not a bird image", im.Name(), im)
-			}
-			bst, ok := st.(*State)
-			if !ok {
-				return nil, fmt.Errorf("bird: restore %s: state is %T, not a bird state", im.Name(), st)
-			}
-			return bim.Restore(bst)
-		},
-		DecodeCheckpoint: func(data []byte) (node.Checkpoint, error) {
-			var cp Checkpoint
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cp); err != nil {
-				return nil, fmt.Errorf("bird: decode checkpoint: %w", err)
-			}
-			return &cp, nil
-		},
-		EncodeCanonical: func(cp node.Checkpoint) ([]byte, error) {
-			bcp, ok := cp.(*Checkpoint)
-			if !ok {
-				return nil, fmt.Errorf("bird: checkpoint for %s is %T, not a bird checkpoint", cp.NodeName(), cp)
-			}
-			return encodeCanonical(bcp), nil
-		},
-		DecodeCanonical: func(payload []byte) (node.Checkpoint, error) {
-			return decodeCanonical(payload)
-		},
-	})
+// Session states.
+const (
+	StateIdle SessionState = iota
+	StateOpenSent
+	StateOpenConfirm
+	StateEstablished
+)
+
+// String renders the state name.
+func (s SessionState) String() string {
+	switch s {
+	case StateIdle:
+		return "Idle"
+	case StateOpenSent:
+		return "OpenSent"
+	case StateOpenConfirm:
+		return "OpenConfirm"
+	case StateEstablished:
+		return "Established"
+	}
+	return fmt.Sprintf("SessionState(%d)", int(s))
 }
 
-// UpdateHook is the shared hook type through which the faults package injects
-// programming errors into any backend's UPDATE handler.
-type UpdateHook = node.UpdateHook
+// session is the per-neighbor runtime state: the FSM record and the two
+// Adj-RIBs of the neighbor.
+type session struct {
+	peer         string
+	peerAS       bgp.ASN
+	state        SessionState
+	peerRouterID bgp.RouterID
+	importPolicy string
+	exportPolicy string
+	// downCount counts transitions out of Established (session resets), one
+	// of the emergent-behaviour signals the paper mentions.
+	downCount int
+	// notificationsSent / Received count protocol errors on this session.
+	notificationsSent     int
+	notificationsReceived int
+	adjIn                 *rib.AdjRIBIn
+	adjOut                *rib.AdjRIBOut
+}
 
-// RouterStats counts router activity. All counters are cumulative since the
-// router was created (and survive checkpointing).
-type RouterStats = node.RouterStats
+func (s *session) established() bool { return s.state == StateEstablished }
 
-// RouteEvent records one change of the best route for a prefix. The
-// oscillation (policy conflict) checker consumes the sequence of events.
-type RouteEvent = node.RouteEvent
+// EngineStats counts handoffs between the session-handling half of the
+// router and its route decision half — the imsg channel a real OpenBGPD
+// pushes every route and session event through. Every router keeps them; a
+// dialect whose payload carries them (Dialect.EngineStats) checkpoints and
+// restores them, so there they are a deterministic function of execution
+// history like everything else in a checkpoint.
+type EngineStats struct {
+	// ImsgsSEToRDE counts handoffs into the decision half: parsed updates,
+	// session-up table dumps and session-down sweeps.
+	ImsgsSEToRDE int
+	// ImsgsRDEToSE counts handoffs out of it: advertisements and withdrawals
+	// leaving for the wire.
+	ImsgsRDEToSE int
+	// RDEDecisions counts decision-process runs.
+	RDEDecisions int
+}
 
 // exploration carries the armed symbolic-input request.
 type exploration struct {
@@ -92,14 +86,17 @@ type exploration struct {
 	pending bool
 }
 
-// Router is the emulated BGP router. It implements netem.Node so it can run
-// both on the virtual-time emulator and on the TCP transport.
+// Router is the emulated BGP router. It implements node.Router, and through
+// it netem.Node, so it runs both on the virtual-time emulator and on the TCP
+// transport.
 type Router struct {
-	cfg      *Config
-	sessions map[string]*session
-	locRIB   *rib.LocRIB
-	adjIn    map[string]*rib.AdjRIBIn
-	adjOut   map[string]*rib.AdjRIBOut
+	d *Dialect
+	// preferredSite is the concolic branch-site label of the "locally most
+	// preferred" choice, prefixed with the dialect's name.
+	preferredSite string
+	cfg           *node.Config
+	sessions      map[string]*session
+	locRIB        *rib.LocRIB
 
 	explore exploration
 	// activeMachine is the concolic machine of the UPDATE currently being
@@ -107,122 +104,119 @@ type Router struct {
 	// so that the branch conditions of the buggy code are recorded and can be
 	// negated by the explorer, exactly as instrumented BIRD code would be.
 	activeMachine *concolic.Machine
-	hook          UpdateHook
+	hook          node.UpdateHook
 
-	stats     RouterStats
-	events    []RouteEvent
+	stats     node.RouterStats
+	engine    EngineStats
+	events    []node.RouteEvent
 	panicked  bool
 	lastPanic string
 	started   bool
 }
 
-// New builds a router from its configuration and installs the locally
-// originated routes into the Loc-RIB.
-func New(cfg *Config) (*Router, error) {
-	cfg = cfg.Clone()
-	cfg.ApplyDefaults()
-	if err := cfg.Validate(); err != nil {
+// Interface check: Router is a full node.Router backend.
+var _ node.Router = (*Router)(nil)
+
+// New builds a router of this dialect from the semantic configuration and
+// installs the locally originated routes into the Loc-RIB.
+func (d *Dialect) New(cfg *node.Config) (*Router, error) {
+	im, err := d.newImage(cfg)
+	if err != nil {
 		return nil, err
 	}
-	r := &Router{
-		cfg:      cfg,
-		sessions: make(map[string]*session),
-		locRIB:   rib.NewLocRIB(),
-		adjIn:    make(map[string]*rib.AdjRIBIn),
-		adjOut:   make(map[string]*rib.AdjRIBOut),
+	r := d.newRouter()
+	r.bind(im.cfg)
+	for _, p := range r.cfg.Networks {
+		r.update(nil, &rib.Route{
+			Prefix: p,
+			Attrs:  &bgp.PathAttributes{Origin: bgp.OriginIGP, NextHop: uint32(r.cfg.RouterID)},
+			Local:  true,
+		})
+		r.stats.RoutesOriginated++
 	}
-	for _, n := range cfg.Neighbors {
-		r.sessions[n.Name] = &session{
-			peer:         n.Name,
-			peerAS:       n.AS,
-			state:        StateIdle,
-			importPolicy: n.Import,
-			exportPolicy: n.Export,
-		}
-		r.adjIn[n.Name] = rib.NewAdjRIBIn()
-		r.adjOut[n.Name] = rib.NewAdjRIBOut()
-	}
-	r.originateNetworks()
 	return r, nil
 }
 
-// MustNew is New for static configurations in tests and examples.
-func MustNew(cfg *Config) *Router {
-	r, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-func (r *Router) originateNetworks() {
-	for _, p := range r.cfg.Networks {
-		attrs := &bgp.PathAttributes{
-			Origin:  bgp.OriginIGP,
-			NextHop: uint32(r.cfg.RouterID),
-		}
-		route := &rib.Route{
-			Prefix: p,
-			Attrs:  attrs,
-			Peer:   "",
-			Local:  true,
-		}
-		r.locRIB.Update(nil, route)
-		r.stats.RoutesOriginated++
+// newRouter allocates an empty router; bind gives it its configuration and
+// sessions.
+func (d *Dialect) newRouter() *Router {
+	return &Router{
+		d:             d,
+		preferredSite: d.Name + "/route.preferred",
+		sessions:      make(map[string]*session),
+		locRIB:        rib.NewLocRIBFor(d.Decision),
 	}
 }
 
-// Interface check: bird.Router is a full node.Router backend.
-var _ node.Router = (*Router)(nil)
+// bind makes the session book match the configuration: one Idle session with
+// empty Adj-RIBs per configured neighbor. Existing session records and RIB
+// structures are cleared and reused rather than reallocated.
+func (r *Router) bind(cfg *node.Config) {
+	r.cfg = cfg
+	for name := range r.sessions {
+		if cfg.Neighbor(name) == nil {
+			delete(r.sessions, name)
+		}
+	}
+	for _, n := range cfg.Neighbors {
+		s := r.sessions[n.Name]
+		if s == nil {
+			s = &session{adjIn: rib.NewAdjRIBIn(), adjOut: rib.NewAdjRIBOut()}
+			r.sessions[n.Name] = s
+		}
+		s.adjIn.Clear()
+		s.adjOut.Clear()
+		*s = session{
+			peer:         n.Name,
+			peerAS:       n.AS,
+			importPolicy: n.Import,
+			exportPolicy: n.Export,
+			adjIn:        s.adjIn,
+			adjOut:       s.adjOut,
+		}
+	}
+}
 
 // ID implements netem.Node.
 func (r *Router) ID() netem.NodeID { return netem.NodeID(r.cfg.Name) }
 
 // Implementation implements node.Router.
-func (r *Router) Implementation() string { return Implementation }
+func (r *Router) Implementation() string { return r.d.Name }
 
-// TakeCheckpoint implements node.Router: it is Checkpoint behind the
-// implementation-neutral interface.
-func (r *Router) TakeCheckpoint() node.Checkpoint { return r.Checkpoint() }
-
-// Config returns the router's configuration.
-func (r *Router) Config() *Config { return r.cfg }
+// Config returns the router's configuration. Callers must not mutate it.
+func (r *Router) Config() *node.Config { return r.cfg }
 
 // LocRIB returns the router's Loc-RIB.
 func (r *Router) LocRIB() *rib.LocRIB { return r.locRIB }
 
 // AdjIn returns the Adj-RIB-In for a peer, or nil.
-func (r *Router) AdjIn(peer string) *rib.AdjRIBIn { return r.adjIn[peer] }
+func (r *Router) AdjIn(peer string) *rib.AdjRIBIn {
+	if s := r.sessions[peer]; s != nil {
+		return s.adjIn
+	}
+	return nil
+}
 
 // AdjOut returns the Adj-RIB-Out for a peer, or nil.
-func (r *Router) AdjOut(peer string) *rib.AdjRIBOut { return r.adjOut[peer] }
+func (r *Router) AdjOut(peer string) *rib.AdjRIBOut {
+	if s := r.sessions[peer]; s != nil {
+		return s.adjOut
+	}
+	return nil
+}
 
 // Stats returns a snapshot of the router counters.
-func (r *Router) Stats() RouterStats { return r.stats }
+func (r *Router) Stats() node.RouterStats { return r.stats }
+
+// Engine returns the decision-engine handoff counters.
+func (r *Router) Engine() EngineStats { return r.engine }
 
 // Events returns the best-route change log.
-func (r *Router) Events() []RouteEvent { return r.events }
+func (r *Router) Events() []node.RouteEvent { return r.events }
 
 // Panicked reports whether the UPDATE handler crashed (directly or through an
 // injected fault) and the crash reason.
 func (r *Router) Panicked() (bool, string) { return r.panicked, r.lastPanic }
-
-// Sessions returns a summary of every configured session.
-func (r *Router) Sessions() []SessionInfo {
-	var out []SessionInfo
-	for _, n := range r.cfg.Neighbors {
-		s := r.sessions[n.Name]
-		out = append(out, SessionInfo{
-			Peer:                  s.peer,
-			PeerAS:                s.peerAS,
-			State:                 s.state,
-			DownCount:             s.downCount,
-			NotificationsSent:     s.notificationsSent,
-			NotificationsReceived: s.notificationsReceived,
-		})
-	}
-	return out
-}
 
 // SessionState returns the FSM state of the session with the named peer.
 func (r *Router) SessionState(peer string) SessionState {
@@ -233,7 +227,7 @@ func (r *Router) SessionState(peer string) SessionState {
 }
 
 // SetUpdateHook installs a (possibly fault-injecting) UPDATE hook.
-func (r *Router) SetUpdateHook(h UpdateHook) { r.hook = h }
+func (r *Router) SetUpdateHook(h node.UpdateHook) { r.hook = h }
 
 // ActiveMachine returns the concolic machine of the UPDATE currently being
 // handled, or nil when processing is concrete. Fault hooks call it so their
@@ -250,7 +244,7 @@ func (r *Router) ExploreNextUpdate(m *concolic.Machine, fromPeer string) {
 }
 
 //
-// netem.Node implementation
+// netem.Node implementation: the session FSM.
 //
 
 // Start implements netem.Node: it brings every configured session up by
@@ -267,6 +261,11 @@ func (r *Router) Start(env netem.Env) {
 
 func (r *Router) startSession(env netem.Env, s *session) {
 	s.state = StateOpenSent
+	r.sendOpen(env, s)
+	env.SetTimer("retry/"+s.peer, r.cfg.ConnectRetry)
+}
+
+func (r *Router) sendOpen(env netem.Env, s *session) {
 	r.send(env, s.peer, &bgp.Open{
 		Version:  bgp.Version,
 		AS:       r.cfg.AS,
@@ -274,20 +273,17 @@ func (r *Router) startSession(env netem.Env, s *session) {
 		RouterID: r.cfg.RouterID,
 	})
 	r.stats.OpensSent++
-	env.SetTimer("retry/"+s.peer, r.cfg.ConnectRetry)
 }
 
 // HandleTimer implements netem.Node.
 func (r *Router) HandleTimer(env netem.Env, name string) {
-	switch {
-	case len(name) > 6 && name[:6] == "retry/":
-		peer := name[6:]
-		s := r.sessions[peer]
-		if s != nil && !s.established() {
+	if peer, ok := strings.CutPrefix(name, "retry/"); ok {
+		if s := r.sessions[peer]; s != nil && !s.established() {
 			r.startSession(env, s)
 		}
-	case len(name) > 10 && name[:10] == "keepalive/":
-		peer := name[10:]
+		return
+	}
+	if peer, ok := strings.CutPrefix(name, "keepalive/"); ok {
 		s := r.sessions[peer]
 		if s != nil && s.established() && r.cfg.KeepaliveInterval > 0 {
 			r.send(env, peer, &bgp.Keepalive{})
@@ -320,22 +316,35 @@ func (r *Router) HandleMessage(env netem.Env, from netem.NodeID, payload []byte)
 	}
 	switch typ {
 	case bgp.MsgOpen:
-		r.handleOpen(env, s, body)
+		r.recvOpen(env, s, body)
 	case bgp.MsgKeepalive:
-		r.handleKeepalive(env, s)
+		r.recvKeepalive(env, s)
 	case bgp.MsgNotification:
-		r.handleNotification(env, s, body)
+		s.notificationsReceived++
+		r.resetSession(env, s)
 	case bgp.MsgUpdate:
 		if !s.established() {
 			r.protocolError(env, s, &bgp.MessageError{Code: bgp.ErrFiniteStateMachine, Reason: "UPDATE outside Established"})
 			return
 		}
-		r.handleUpdate(env, s, body)
+		r.recvUpdate(env, s, body)
 	}
 }
 
-func (r *Router) handleOpen(env netem.Env, s *session, body []byte) {
-	msg, err := bgp.Decode(append(openHeader(len(body)), body...))
+// openWire rebuilds the wire header for an OPEN body so the shared decoder
+// can be reused for validation.
+func openWire(body []byte) []byte {
+	hdr := make([]byte, bgp.HeaderLen, bgp.HeaderLen+len(body))
+	for i := 0; i < bgp.MarkerLen; i++ {
+		hdr[i] = 0xff
+	}
+	total := bgp.HeaderLen + len(body)
+	hdr[16], hdr[17], hdr[18] = byte(total>>8), byte(total), byte(bgp.MsgOpen)
+	return append(hdr, body...)
+}
+
+func (r *Router) recvOpen(env netem.Env, s *session, body []byte) {
+	msg, err := bgp.Decode(openWire(body))
 	if err != nil {
 		r.protocolError(env, s, err)
 		return
@@ -352,13 +361,7 @@ func (r *Router) handleOpen(env netem.Env, s *session, body []byte) {
 		// Collision handling is collapsed: reply with our OPEN if we had not
 		// sent one, then confirm.
 		if s.state == StateIdle {
-			r.send(env, s.peer, &bgp.Open{
-				Version:  bgp.Version,
-				AS:       r.cfg.AS,
-				HoldTime: uint16(r.cfg.HoldTime / time.Second),
-				RouterID: r.cfg.RouterID,
-			})
-			r.stats.OpensSent++
+			r.sendOpen(env, s)
 		}
 		r.send(env, s.peer, &bgp.Keepalive{})
 		r.stats.KeepalivesSent++
@@ -368,37 +371,20 @@ func (r *Router) handleOpen(env netem.Env, s *session, body []byte) {
 	}
 }
 
-// openHeader rebuilds the wire header for an OPEN body so that the shared
-// decoder can be reused for validation.
-func openHeader(bodyLen int) []byte {
-	hdr := make([]byte, bgp.HeaderLen)
-	for i := 0; i < bgp.MarkerLen; i++ {
-		hdr[i] = 0xff
+func (r *Router) recvKeepalive(env netem.Env, s *session) {
+	if s.state != StateOpenConfirm {
+		return // refreshes the (disabled) hold timer; nothing to do
 	}
-	total := bgp.HeaderLen + bodyLen
-	hdr[16] = byte(total >> 8)
-	hdr[17] = byte(total)
-	hdr[18] = byte(bgp.MsgOpen)
-	return hdr
-}
-
-func (r *Router) handleKeepalive(env netem.Env, s *session) {
-	switch s.state {
-	case StateOpenConfirm:
-		s.state = StateEstablished
-		env.CancelTimer("retry/" + s.peer)
-		if r.cfg.KeepaliveInterval > 0 {
-			env.SetTimer("keepalive/"+s.peer, r.cfg.KeepaliveInterval)
-		}
-		r.advertiseFullTable(env, s)
-	case StateEstablished:
-		// Refreshes the (disabled) hold timer; nothing to do.
+	s.state = StateEstablished
+	env.CancelTimer("retry/" + s.peer)
+	if r.cfg.KeepaliveInterval > 0 {
+		env.SetTimer("keepalive/"+s.peer, r.cfg.KeepaliveInterval)
 	}
-}
-
-func (r *Router) handleNotification(env netem.Env, s *session, body []byte) {
-	s.notificationsReceived++
-	r.resetSession(env, s)
+	// Initial table exchange: the current best of every prefix.
+	r.engine.ImsgsSEToRDE++
+	for _, p := range r.locRIB.Prefixes() {
+		r.advertise(env, s, p, r.locRIB.Best(p))
+	}
 }
 
 // protocolError sends a NOTIFICATION for the error and resets the session.
@@ -423,14 +409,12 @@ func (r *Router) resetSession(env netem.Env, s *session) {
 	}
 	s.state = StateIdle
 	s.downCount++
-	for _, route := range r.adjIn[s.peer].Routes() {
-		r.adjIn[s.peer].Remove(route.Prefix)
-		change := r.locRIB.Withdraw(nil, route.Prefix, s.peer)
-		r.propagate(env, change, s.peer)
+	r.engine.ImsgsSEToRDE++
+	for _, route := range s.adjIn.Routes() {
+		s.adjIn.Remove(route.Prefix)
+		r.bestChanged(env, r.withdraw(nil, route.Prefix, s.peer), s.peer)
 	}
-	for _, route := range r.adjOut[s.peer].Routes() {
-		r.adjOut[s.peer].Remove(route.Prefix)
-	}
+	s.adjOut.Clear()
 	env.SetTimer("retry/"+s.peer, r.cfg.ConnectRetry)
 }
 
@@ -438,7 +422,19 @@ func (r *Router) resetSession(env netem.Env, s *session) {
 // UPDATE processing — the state-changing code DiCE focuses on.
 //
 
-func (r *Router) handleUpdate(env netem.Env, s *session, body []byte) {
+// update and withdraw are the decision-process entry points; every Loc-RIB
+// mutation counts as one decision run.
+func (r *Router) update(m *concolic.Machine, route *rib.Route) rib.BestChange {
+	r.engine.RDEDecisions++
+	return r.locRIB.Update(m, route)
+}
+
+func (r *Router) withdraw(m *concolic.Machine, p bgp.Prefix, from string) rib.BestChange {
+	r.engine.RDEDecisions++
+	return r.locRIB.Withdraw(m, p, from)
+}
+
+func (r *Router) recvUpdate(env netem.Env, s *session, body []byte) {
 	r.stats.UpdatesReceived++
 
 	var m *concolic.Machine
@@ -467,21 +463,16 @@ func (r *Router) handleUpdate(env netem.Env, s *session, body []byte) {
 		}
 	}
 
-	r.processWithdrawals(env, s, m, u)
-	r.processAnnouncements(env, s, m, u)
-}
-
-func (r *Router) processWithdrawals(env netem.Env, s *session, m *concolic.Machine, u *bgp.Update) {
+	r.engine.ImsgsSEToRDE++
 	for _, p := range u.Withdrawn {
-		if !r.adjIn[s.peer].Remove(p) {
-			continue
+		if s.adjIn.Remove(p) {
+			r.bestChanged(env, r.withdraw(m, p, s.peer), s.peer)
 		}
-		change := r.locRIB.Withdraw(m, p, s.peer)
-		r.propagate(env, change, s.peer)
 	}
+	r.applyAnnouncements(env, s, m, u)
 }
 
-func (r *Router) processAnnouncements(env netem.Env, s *session, m *concolic.Machine, u *bgp.Update) {
+func (r *Router) applyAnnouncements(env netem.Env, s *session, m *concolic.Machine, u *bgp.Update) {
 	if len(u.NLRI) == 0 || u.Attrs == nil {
 		return
 	}
@@ -526,17 +517,13 @@ func (r *Router) processAnnouncements(env netem.Env, s *session, m *concolic.Mac
 		}
 
 		// Import policy (interpreted; constraints recorded when tracing).
-		if pol := r.cfg.Policies[s.importPolicy]; pol != nil || s.importPolicy != "" {
-			res := pol.Apply(m, route)
-			if res == policy.ResultReject {
-				r.stats.ImportRejected++
-				// Treat-as-withdraw for any previously accepted route.
-				if r.adjIn[s.peer].Remove(p) {
-					change := r.locRIB.Withdraw(m, p, s.peer)
-					r.propagate(env, change, s.peer)
-				}
-				continue
+		if r.cfg.Policies[s.importPolicy].Apply(m, route) == policy.ResultReject {
+			r.stats.ImportRejected++
+			// Treat-as-withdraw for any previously accepted route.
+			if s.adjIn.Remove(p) {
+				r.bestChanged(env, r.withdraw(m, p, s.peer), s.peer)
 			}
+			continue
 		}
 
 		// The paper treats "is this route the locally most preferred one" as
@@ -546,7 +533,7 @@ func (r *Router) processAnnouncements(env netem.Env, s *session, m *concolic.Mac
 		// demoting the route would).
 		if m != nil {
 			preferred := m.Choice("preferred/"+p.String(), true)
-			if !m.Branch("bird/route.preferred", preferred) {
+			if !m.Branch(r.preferredSite, preferred) {
 				route.Attrs.SetLocalPref(0)
 				if route.Sym != nil {
 					route.Sym.HasLocalPref = false
@@ -554,64 +541,55 @@ func (r *Router) processAnnouncements(env netem.Env, s *session, m *concolic.Mac
 			}
 		}
 
-		r.adjIn[s.peer].Set(route.Clone())
-		change := r.locRIB.Update(m, route)
-		r.propagate(env, change, s.peer)
+		s.adjIn.Set(route.Clone())
+		r.bestChanged(env, r.update(m, route), s.peer)
 	}
 }
 
-// propagate reacts to a best-route change: it records the event and
+// bestChanged reacts to a best-route change: it records the event and
 // re-advertises (or withdraws) the prefix to every established neighbor
 // according to export policy.
-func (r *Router) propagate(env netem.Env, change rib.BestChange, learnedFrom string) {
+func (r *Router) bestChanged(env netem.Env, change rib.BestChange, learnedFrom string) {
 	if !change.Changed {
 		return
 	}
 	r.stats.BestChanges++
-	r.events = append(r.events, RouteEvent{
+	r.events = append(r.events, node.RouteEvent{
 		At:     env.Now(),
 		Prefix: change.Prefix,
-		OldVia: routeVia(change.Old),
-		NewVia: routeVia(change.New),
+		OldVia: viaOf(change.Old),
+		NewVia: viaOf(change.New),
 	})
 	for _, n := range r.cfg.Neighbors {
 		s := r.sessions[n.Name]
-		if !s.established() {
-			continue
-		}
-		if n.Name == learnedFrom {
+		if !s.established() || n.Name == learnedFrom {
 			continue // never echo back to the peer the change came from
 		}
-		r.advertiseBest(env, s, change.Prefix, change.New)
+		r.advertise(env, s, change.Prefix, change.New)
 	}
 }
 
-// advertiseBest sends the export-policy view of the best route for one prefix
-// to one neighbor, or a withdrawal when the route is gone or filtered.
-func (r *Router) advertiseBest(env netem.Env, s *session, p bgp.Prefix, best *rib.Route) {
+// advertise sends the export-policy view of the best route for one prefix to
+// one neighbor, or a withdrawal when the route is gone or filtered.
+func (r *Router) advertise(env netem.Env, s *session, p bgp.Prefix, best *rib.Route) {
+	r.engine.ImsgsRDEToSE++
 	withdraw := func() {
-		if r.adjOut[s.peer].Remove(p) {
+		if s.adjOut.Remove(p) {
 			r.send(env, s.peer, &bgp.Update{Withdrawn: []bgp.Prefix{p}})
 			r.stats.WithdrawalsSent++
 			r.stats.UpdatesSent++
 		}
 	}
-	if best == nil {
-		withdraw()
-		return
-	}
-	// Do not advertise a route back to the peer it was learned from.
-	if best.Peer == s.peer {
+	// No route, or a route that must not be advertised back to its source.
+	if best == nil || best.Peer == s.peer {
 		withdraw()
 		return
 	}
 	export := best.Clone()
-	if pol := r.cfg.Policies[s.exportPolicy]; pol != nil || s.exportPolicy != "" {
-		if pol.Apply(nil, export) == policy.ResultReject {
-			r.stats.ExportRejected++
-			withdraw()
-			return
-		}
+	if r.cfg.Policies[s.exportPolicy].Apply(nil, export) == policy.ResultReject {
+		r.stats.ExportRejected++
+		withdraw()
+		return
 	}
 	attrs := export.Attrs
 	attrs.PrependAS(r.cfg.AS, 1)
@@ -620,38 +598,31 @@ func (r *Router) advertiseBest(env netem.Env, s *session, p bgp.Prefix, best *ri
 	if s.peerAS != r.cfg.AS {
 		attrs.LocalPref = nil
 	}
-	out := &rib.Route{Prefix: p, Attrs: attrs, Peer: s.peer}
-	r.adjOut[s.peer].Set(out)
+	s.adjOut.Set(&rib.Route{Prefix: p, Attrs: attrs, Peer: s.peer})
 	r.send(env, s.peer, &bgp.Update{Attrs: attrs, NLRI: []bgp.Prefix{p}})
 	r.stats.UpdatesSent++
 }
 
-// advertiseFullTable sends the current best route of every prefix to a peer
-// whose session just reached Established (initial table exchange).
-func (r *Router) advertiseFullTable(env netem.Env, s *session) {
-	for _, p := range r.locRIB.Prefixes() {
-		r.advertiseBest(env, s, p, r.locRIB.Best(p))
-	}
+func (r *Router) send(env netem.Env, to string, msg bgp.Message) {
+	env.Send(netem.NodeID(to), bgp.Encode(msg))
 }
 
-func (r *Router) send(env netem.Env, peer string, msg bgp.Message) {
-	env.Send(netem.NodeID(peer), bgp.Encode(msg))
-}
-
-func routeVia(r *rib.Route) string {
-	if r == nil {
+func viaOf(route *rib.Route) string {
+	switch {
+	case route == nil:
 		return ""
-	}
-	if r.Local {
+	case route.Local:
 		return "local"
+	default:
+		return route.Peer
 	}
-	return r.Peer
 }
 
 // CheckInvariants runs the router's local state checks and returns a list of
-// violations. These are the checks whose boolean verdicts cross domain
-// boundaries through the narrow information-sharing interface; the underlying
-// state stays private to the node.
+// violations, sessions in configuration order. These are the checks whose
+// boolean verdicts cross domain boundaries through the narrow
+// information-sharing interface; the underlying state stays private to the
+// node.
 func (r *Router) CheckInvariants() []string {
 	var violations []string
 	if r.panicked {
@@ -669,19 +640,14 @@ func (r *Router) CheckInvariants() []string {
 			violations = append(violations, fmt.Sprintf("best route for invalid prefix %s", best.Prefix))
 		}
 		if !best.Local {
-			in := r.adjIn[best.Peer]
-			if in == nil || in.Get(best.Prefix) == nil {
+			if in := r.AdjIn(best.Peer); in == nil || in.Get(best.Prefix) == nil {
 				violations = append(violations, fmt.Sprintf("best route for %s via %s missing from Adj-RIB-In", best.Prefix, best.Peer))
 			}
 		}
 	}
-	for peer, out := range r.adjOut {
-		s := r.sessions[peer]
-		if s == nil || s.established() {
-			continue
-		}
-		if out.Len() > 0 {
-			violations = append(violations, fmt.Sprintf("Adj-RIB-Out for down session %s is not empty", peer))
+	for _, n := range r.cfg.Neighbors {
+		if s := r.sessions[n.Name]; !s.established() && s.adjOut.Len() > 0 {
+			violations = append(violations, fmt.Sprintf("Adj-RIB-Out for down session %s is not empty", n.Name))
 		}
 	}
 	r.stats.InvariantFailures = len(violations)
