@@ -16,14 +16,14 @@
 // where the environment cannot fork/exec). e15 is the observability
 // experiment: the same soak bare vs under the full dice-serve
 // instrumentation layer, with exposition latency/determinism and the
-// codec-persisted soak history. codec is the checkpoint-serialization
-// experiment: gob vs the deterministic binary codec on encode/decode/
-// measure/restore, plus the content-addressed ring's quiet-epoch retention.
-// -json writes the selected experiment's machine-readable result (`-exp e9
-// -json BENCH_clone.json`, `-exp e10 -json BENCH_federation.json`, `-exp e12
-// -json BENCH_live.json`, `-exp e13 -json BENCH_distributed.json`, `-exp e14
-// -json BENCH_hetero3.json`, `-exp e15 -json BENCH_serve.json` and `-exp
-// codec -json BENCH_codec.json` are the artifacts CI tracks across PRs).
+// codec-persisted soak history. (The gob-vs-codec serialization experiment
+// retired with gob itself; its last ratios are frozen in EXPERIMENTS.md and
+// bench/ measures the codec's layers.) -json writes the selected
+// experiment's machine-readable result (`-exp e9 -json BENCH_clone.json`,
+// `-exp e10 -json BENCH_federation.json`, `-exp e12 -json BENCH_live.json`,
+// `-exp e13 -json BENCH_distributed.json`, `-exp e14 -json
+// BENCH_hetero3.json` and `-exp e15 -json BENCH_serve.json` are the
+// artifacts CI tracks across PRs).
 //
 // Every JSON artifact is stamped with a schema version, the experiment id,
 // the seed and the Go runtime metadata (version, GOOS/GOARCH, GOMAXPROCS),
@@ -52,7 +52,10 @@ import (
 // added; existing artifact schemas are unchanged.
 // v5: the e15 observability-overhead experiment (BENCH_serve.json) was
 // added; existing artifact schemas are unchanged.
-const benchSchemaVersion = 5
+// v6: encoding/gob left the module, and the comparison with it: e9 lost its
+// snapshot encode/decode fields, e13 its gob baseline counterfactual, and
+// the codec experiment (BENCH_codec.json) is gone.
+const benchSchemaVersion = 6
 
 // benchMeta is the self-describing header embedded in every BENCH_*.json
 // artifact.
@@ -105,17 +108,6 @@ type cloneBench struct {
 
 	MeanNodeBytes  int `json:"mean_node_bytes"`
 	MeanDeltaBytes int `json:"mean_delta_bytes"`
-
-	CodecIters         int     `json:"codec_iters"`
-	GobEncodeNs        int64   `json:"gob_encode_ns"`
-	CodecEncodeNs      int64   `json:"codec_encode_ns"`
-	CodecEncodeSpeedup float64 `json:"codec_encode_speedup"`
-	GobDecodeNs        int64   `json:"gob_decode_ns"`
-	CodecDecodeNs      int64   `json:"codec_decode_ns"`
-	CodecDecodeSpeedup float64 `json:"codec_decode_speedup"`
-	GobSnapshotBytes   int     `json:"gob_snapshot_bytes"`
-	CodecSnapshotBytes int     `json:"codec_snapshot_bytes"`
-	CodecSizeRatio     float64 `json:"codec_size_ratio"`
 }
 
 // federationBench is the schema of the e10 -json artifact.
@@ -199,44 +191,6 @@ type distributedBench struct {
 	ResultBytesPerInput  int     `json:"result_bytes_per_input"`
 	FullStatePerInput    int     `json:"full_state_bytes_per_input"`
 	ReductionVsFullState float64 `json:"reduction_vs_full_state"`
-
-	GobBaselineSnapshotBytes   int     `json:"gob_baseline_snapshot_bytes"`
-	CodecBaselineSnapshotBytes int     `json:"codec_baseline_snapshot_bytes"`
-	BaselineReductionVsGob     float64 `json:"baseline_reduction_vs_gob"`
-}
-
-// codecBench is the schema of the codec -json artifact (BENCH_codec.json):
-// gob vs deterministic-codec encode/decode/measure/restore on the same
-// snapshot, plus the content-addressed ring's quiet-epoch retention.
-type codecBench struct {
-	benchMeta
-	Routers    int `json:"routers"`
-	Iterations int `json:"iterations"`
-
-	GobEncodeNs   int64   `json:"gob_encode_ns"`
-	CodecEncodeNs int64   `json:"codec_encode_ns"`
-	EncodeSpeedup float64 `json:"encode_speedup"`
-	GobDecodeNs   int64   `json:"gob_decode_ns"`
-	CodecDecodeNs int64   `json:"codec_decode_ns"`
-	DecodeSpeedup float64 `json:"decode_speedup"`
-
-	GobBytes   int     `json:"gob_bytes"`
-	CodecBytes int     `json:"codec_bytes"`
-	SizeRatio  float64 `json:"size_ratio"`
-
-	GobMeasureNs   int64   `json:"gob_measure_ns"`
-	CodecMeasureNs int64   `json:"codec_measure_ns"`
-	MeasureSpeedup float64 `json:"measure_speedup"`
-
-	GobRestoreNs   int64   `json:"gob_restore_ns"`
-	CodecRestoreNs int64   `json:"codec_restore_ns"`
-	RestoreSpeedup float64 `json:"restore_speedup"`
-
-	RingEpochs        int `json:"ring_epochs"`
-	RingCopiedBytes   int `json:"ring_copied_bytes"`
-	RingRetainedBytes int `json:"ring_retained_bytes"`
-	QuietEpochDeltaB  int `json:"quiet_epoch_delta_bytes"`
-	QuietEpochChanged int `json:"quiet_epoch_nodes_changed"`
 }
 
 // hetero3Bench is the schema of the e14 -json artifact (BENCH_hetero3.json):
@@ -344,44 +298,6 @@ func writeCloneJSON(path string, cfg dice.ExperimentConfig, r *dice.E9Result) er
 		SameDetections:     r.SameDetections,
 		MeanNodeBytes:      r.MeanNodeBytes,
 		MeanDeltaBytes:     r.MeanDeltaBytes,
-		CodecIters:         r.CodecIters,
-		GobEncodeNs:        r.GobEncodePer.Nanoseconds(),
-		CodecEncodeNs:      r.CodecEncodePer.Nanoseconds(),
-		CodecEncodeSpeedup: r.CodecEncodeSpeedup,
-		GobDecodeNs:        r.GobDecodePer.Nanoseconds(),
-		CodecDecodeNs:      r.CodecDecodePer.Nanoseconds(),
-		CodecDecodeSpeedup: r.CodecDecodeSpeedup,
-		GobSnapshotBytes:   r.GobSnapshotBytes,
-		CodecSnapshotBytes: r.CodecSnapshotBytes,
-		CodecSizeRatio:     r.CodecSizeRatio,
-	})
-}
-
-func writeCodecJSON(path string, cfg dice.ExperimentConfig, r *dice.ECodecResult) error {
-	return writeJSON(path, codecBench{
-		benchMeta:         newBenchMeta("codec", cfg),
-		Routers:           r.Routers,
-		Iterations:        r.Iterations,
-		GobEncodeNs:       r.GobEncodePer.Nanoseconds(),
-		CodecEncodeNs:     r.CodecEncodePer.Nanoseconds(),
-		EncodeSpeedup:     r.EncodeSpeedup,
-		GobDecodeNs:       r.GobDecodePer.Nanoseconds(),
-		CodecDecodeNs:     r.CodecDecodePer.Nanoseconds(),
-		DecodeSpeedup:     r.DecodeSpeedup,
-		GobBytes:          r.GobBytes,
-		CodecBytes:        r.CodecBytes,
-		SizeRatio:         r.SizeRatio,
-		GobMeasureNs:      r.GobMeasurePer.Nanoseconds(),
-		CodecMeasureNs:    r.CodecMeasurePer.Nanoseconds(),
-		MeasureSpeedup:    r.MeasureSpeedup,
-		GobRestoreNs:      r.GobRestorePer.Nanoseconds(),
-		CodecRestoreNs:    r.CodecRestorePer.Nanoseconds(),
-		RestoreSpeedup:    r.RestoreSpeedup,
-		RingEpochs:        r.RingEpochs,
-		RingCopiedBytes:   r.RingCopiedBytes,
-		RingRetainedBytes: r.RingRetainedBytes,
-		QuietEpochDeltaB:  r.QuietEpochDeltaB,
-		QuietEpochChanged: r.QuietEpochChanged,
 	})
 }
 
@@ -461,10 +377,6 @@ func writeDistributedJSON(path string, cfg dice.ExperimentConfig, r *dice.E13Res
 		ResultBytesPerInput:       r.ResultBytesPerInput,
 		FullStatePerInput:         r.FullStatePerInput,
 		ReductionVsFullState:      r.ReductionVsFullState,
-
-		GobBaselineSnapshotBytes:   r.GobBaselineSnapshotBytes,
-		CodecBaselineSnapshotBytes: r.CodecBaselineSnapshotBytes,
-		BaselineReductionVsGob:     r.BaselineReductionVsGob,
 	})
 }
 
@@ -492,10 +404,10 @@ func main() {
 	// E14's process-isolation leg re-execs this binary as a backend
 	// subprocess; divert those re-executions before flag parsing.
 	procdriver.MaybeRunChild()
-	exp := flag.String("exp", "all", "experiment to run: e1..e15, codec, or all")
+	exp := flag.String("exp", "all", "experiment to run: e1..e15, or all")
 	quick := flag.Bool("quick", false, "use reduced budgets")
 	seed := flag.Int64("seed", 1, "random seed")
-	jsonPath := flag.String("json", "", "write the selected experiment's machine-readable artifact to this path (e10, e12, e13 and codec write their own schemas; any other selection writes the e9 clone-lifecycle artifact, running e9 if needed)")
+	jsonPath := flag.String("json", "", "write the selected experiment's machine-readable artifact to this path (e10, e12, e13, e14 and e15 write their own schemas; any other selection writes the e9 clone-lifecycle artifact, running e9 if needed)")
 	flag.Parse()
 
 	cfg := dice.ExperimentConfig{Quick: *quick, Seed: *seed}
@@ -522,10 +434,10 @@ func main() {
 	}
 
 	// The -json artifact follows the selected experiment when it has its own
-	// schema (e10, e12, e13, e14, e15, codec); every other selection tracks
+	// schema (e10, e12, e13, e14, e15); every other selection tracks
 	// the e9 clone artifact.
 	jsonOwner := "e9"
-	if which == "e10" || which == "e12" || which == "e13" || which == "e14" || which == "e15" || which == "codec" {
+	if which == "e10" || which == "e12" || which == "e13" || which == "e14" || which == "e15" {
 		jsonOwner = which
 	}
 
@@ -615,13 +527,6 @@ func main() {
 		report("E15", res, err)
 		if err == nil && *jsonPath != "" && jsonOwner == "e15" {
 			wrote(*jsonPath, writeServeJSON(*jsonPath, cfg, res))
-		}
-	}
-	if run("codec") {
-		res, err := dice.RunECodec(cfg)
-		report("ECodec", res, err)
-		if err == nil && *jsonPath != "" && jsonOwner == "codec" {
-			wrote(*jsonPath, writeCodecJSON(*jsonPath, cfg, res))
 		}
 	}
 	if failed {

@@ -33,11 +33,15 @@ func TestFacadeEngineDetectsHijack(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Converge()
-	res, err := NewEngine(d, topo, EngineOptions{Explorer: "R2", MaxInputs: 4, FuzzSeeds: 2, UseConcolic: true, Seed: 1, ClusterOptions: opts}).Run()
+	// One unit, one worker: R2 explored from R1, its first neighbour in link
+	// order.
+	cres, err := NewCampaign(d, topo,
+		WithUnits(Unit{Explorer: "R2", FromPeer: "R1", MaxInputs: 4, FuzzSeeds: 2, Seed: 1}),
+		WithWorkers(1), WithSeed(1), WithClusterOptions(opts)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Detected(OperatorMistake) {
+	if res := cres.Units[0]; !res.Detected(OperatorMistake) {
 		t.Fatalf("hijack not detected through the public API")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"runtime"
 	"sort"
 	"strings"
@@ -203,5 +204,56 @@ func TestAgentFaultMidLeaseReassigned(t *testing.T) {
 	hstats := healthy.PoolStats()
 	if hstats.Leases != hstats.Releases {
 		t.Errorf("healthy agent clone accounting unbalanced: %+v", hstats)
+	}
+}
+
+// TestAgentSurfacesControlErrors drives Run against control planes that
+// answer badly: the agent must name the HTTP status and the server's text
+// (never a bare decode error), refuse a well-formed frame of the wrong kind,
+// and keep polling a 503 until its context ends.
+func TestAgentSurfacesControlErrors(t *testing.T) {
+	frame := func(msg any) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if _, err := control.EncodeFrame(w, msg); err != nil {
+				t.Errorf("EncodeFrame: %v", err)
+			}
+		}
+	}
+	cases := []struct {
+		name     string
+		register http.HandlerFunc
+		baseline http.HandlerFunc
+		want     string
+	}{
+		{"register-500", func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "control: encode *control.Welcome: too big", http.StatusInternalServerError)
+		}, nil, "/v1/register: 500 Internal Server Error: control: encode *control.Welcome: too big"},
+		{"register-wrong-kind", frame(&control.NoWork{}), nil, "unexpected register response *control.NoWork"},
+		{"baseline-wrong-kind", frame(&control.Welcome{AgentID: "agent-1"}), frame(&control.NoWork{}), "unexpected baseline response *control.NoWork"},
+		{"baseline-503-until-cancelled", frame(&control.Welcome{AgentID: "agent-1"}), func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "no campaign", http.StatusServiceUnavailable)
+		}, context.DeadlineExceeded.Error()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mux := http.NewServeMux()
+			mux.HandleFunc("POST /v1/register", tc.register)
+			if tc.baseline != nil {
+				mux.HandleFunc("POST /v1/baseline", tc.baseline)
+			}
+			ag := agent.New(agent.Config{
+				Name: "a", ControlURL: "http://control.inproc", Workers: 3,
+				Client: control.InProcessClient(mux), PollInterval: time.Millisecond,
+			})
+			if ag.Workers() != 3 {
+				t.Errorf("Workers() = %d, want 3", ag.Workers())
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			err := ag.Run(ctx)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -1,8 +1,8 @@
 // Package detrange flags `range` over a map whose loop body reaches a
-// deterministic encoder, hasher or wire writer — the exact bug class behind
-// the gob map-order nondeterminism that corrupted cross-process deltas
-// (PR 6) and forced the live-mode ring onto fingerprint-driven delta
-// accounting (PR 5/7). Go map iteration order is deliberately randomized,
+// deterministic encoder, hasher or wire writer — the bug class behind the
+// map-order nondeterminism that once corrupted cross-process deltas (PR 6)
+// and forced the live-mode ring onto fingerprint-driven delta accounting
+// (PR 5/7). Go map iteration order is deliberately randomized,
 // so any bytes produced inside such a loop differ run to run: content
 // hashes stop matching, binary deltas explode, and "identical" snapshots
 // stop comparing equal.
@@ -13,21 +13,14 @@
 //     checkpoint encoder);
 //   - Write/Sum-shaped methods on hash.Hash implementations (hash/*,
 //     crypto/* packages) — fingerprints must be byte-stable;
-//   - (*encoding/gob.Encoder).Encode and EncodeValue — the legacy wire
-//     format;
 //   - fmt.Fprint* whose first argument is one of the above;
 //   - any module function that itself (transitively) writes to one of the
 //     above — propagated as a cross-package fact, so a helper that wraps
 //     the encoder taints its callers.
 //
-// A second rule flags gob-encoding a plain map value directly: gob writes
-// map entries in iteration order, so a map without a canonical GobEncode
-// (node.PeerRouteMap-style sorted encoding) produces unstable bytes even
-// without an explicit range.
-//
 // The fix is the standard one: collect the keys, sort them, and iterate the
-// sorted slice — or give the map type a canonical encoder. Intentional
-// exceptions take `//dice:allow detrange <reason>`.
+// sorted slice (codec.PutBlobMap and codec.PutPeerRouteMap are the model).
+// Intentional exceptions take `//dice:allow detrange <reason>`.
 package detrange
 
 import (
@@ -88,15 +81,11 @@ func run(pass *analysis.Pass) error {
 		pass.ExportFact(key, true)
 	}
 
-	// Pass 2: flag map ranges whose body reaches a sink, and plain maps
-	// fed to gob whole.
+	// Pass 2: flag map ranges whose body reaches a sink.
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.RangeStmt:
-				checkRange(pass, n, sinks)
-			case *ast.CallExpr:
-				checkGobMapArg(pass, n)
+			if rng, ok := n.(*ast.RangeStmt); ok {
+				checkRange(pass, rng, sinks)
 			}
 			return true
 		})
@@ -119,30 +108,6 @@ func checkRange(pass *analysis.Pass, rng *ast.RangeStmt, local map[string]bool) 
 	pass.Reportf(rng.Pos(),
 		"range over map %s feeds %s inside the loop body; map iteration order is randomized — iterate sorted keys instead (or //dice:allow detrange <reason>)",
 		types.TypeString(t, nil), what)
-}
-
-// checkGobMapArg reports gob.Encoder.Encode(m) where m is a plain map
-// without a canonical GobEncode.
-func checkGobMapArg(pass *analysis.Pass, call *ast.CallExpr) {
-	fn := analysis.CalleeFunc(pass.TypesInfo, call)
-	if fn == nil || !analysis.IsMethodOn(fn, "encoding/gob", "Encoder") {
-		return
-	}
-	if fn.Name() != "Encode" && fn.Name() != "EncodeValue" {
-		return
-	}
-	for _, arg := range call.Args {
-		t := pass.TypesInfo.TypeOf(arg)
-		if t == nil || analysis.MapType(t) == nil {
-			continue
-		}
-		if analysis.HasMethod(t, "GobEncode") {
-			continue // PeerRouteMap-style canonical encoding
-		}
-		pass.Reportf(arg.Pos(),
-			"gob-encoding plain map %s: entry order is randomized, so encodings of equal maps differ — use a type with a sorted GobEncode (see node.PeerRouteMap)",
-			types.TypeString(t, nil))
-	}
 }
 
 // bodyReachesSink reports whether any call in the body is a sink.
@@ -190,11 +155,6 @@ func isSinkCall(pass *analysis.Pass, call *ast.CallExpr, local map[string]bool) 
 		}
 	}
 	if iface := recvInterfaceHash(pass, call); iface && hashMethodNames[fn.Name()] {
-		return true
-	}
-	// Direct: the legacy gob encoder.
-	if analysis.IsMethodOn(fn, "encoding/gob", "Encoder") &&
-		(fn.Name() == "Encode" || fn.Name() == "EncodeValue") {
 		return true
 	}
 	// fmt.Fprint* into a hasher or codec writer.

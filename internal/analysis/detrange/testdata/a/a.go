@@ -1,12 +1,10 @@
-// Package a exercises the detrange analyzer: map ranges feeding hashers,
-// gob encoders and the deterministic checkpoint codec. BadHash is the
+// Package a exercises the detrange analyzer: map ranges feeding hashers and
+// the deterministic checkpoint codec. BadHash is the
 // PR 6 bug shape (fingerprint fed in map iteration order) verbatim.
 package a
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
 	"hash"
 	"sort"
@@ -66,44 +64,6 @@ func GoodCodec(w *codec.Writer, m map[uint64]string) {
 		w.Uvarint(k)
 		w.String(m[k])
 	}
-}
-
-// BadGob hands gob a plain map; gob serializes entries in iteration order.
-func BadGob(m map[string]string) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil { // want `gob-encoding plain map`
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// canonical has a sorted GobEncode, so gob-encoding it is deterministic.
-type canonical map[string]string
-
-// GobEncode renders entries in sorted key order.
-func (c canonical) GobEncode() ([]byte, error) {
-	keys := make([]string, 0, len(c))
-	for k := range c {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var buf bytes.Buffer
-	for _, k := range keys {
-		fmt.Fprintf(&buf, "%s=%s;", k, c[k])
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode exists to keep the type symmetric.
-func (c canonical) GobDecode([]byte) error { return nil }
-
-// GoodGob encodes a map type with a canonical encoder.
-func GoodGob(m canonical) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // Absorb wraps a hasher write; callers inherit the taint as a fact.

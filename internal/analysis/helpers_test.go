@@ -120,13 +120,6 @@ func TestTypeHelpers(t *testing.T) {
 	if analysis.MapType(tObj) != nil || analysis.MapType(nil) != nil {
 		t.Error("MapType resolved a non-map")
 	}
-
-	if !analysis.HasMethod(tObj, "GobEncode") || !analysis.HasMethod(tObj, "Ptr") {
-		t.Error("HasMethod missed a method in *T's method set")
-	}
-	if analysis.HasMethod(tObj, "Nope") || analysis.HasMethod(nil, "Ptr") {
-		t.Error("HasMethod invented a method")
-	}
 }
 
 // TestFactPropagation covers the fact store end to end: an analyzer exports

@@ -162,9 +162,9 @@ func walkBoundary(pass *analysis.Pass, root *types.TypeName) {
 			if tt.Empty() {
 				report(path, "is declared any/interface{}, which defeats static privacy checking")
 			}
-			// Non-empty interfaces carry no state across gob without a
-			// concrete type registration; the empty-interface rule catches
-			// the generic escape hatch.
+			// Non-empty interfaces carry no state across the wire without
+			// a hand-written record for a concrete type; the
+			// empty-interface rule catches the generic escape hatch.
 		case *types.Chan, *types.Signature:
 			report(path, "is a channel or func, which cannot cross a process boundary")
 		}

@@ -95,18 +95,3 @@ func MapType(t types.Type) *types.Map {
 	m, _ := t.Underlying().(*types.Map)
 	return m
 }
-
-// HasMethod reports whether the named type (or its pointer) has a method
-// with the given name in its method set.
-func HasMethod(t types.Type, name string) bool {
-	if t == nil {
-		return false
-	}
-	ms := types.NewMethodSet(types.NewPointer(t))
-	for i := 0; i < ms.Len(); i++ {
-		if ms.At(i).Obj().Name() == name {
-			return true
-		}
-	}
-	return false
-}

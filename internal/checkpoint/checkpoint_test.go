@@ -1,12 +1,17 @@
 package checkpoint
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/dice-project/dice/internal/bgp"
 	"github.com/dice-project/dice/internal/bgp/policy"
 	"github.com/dice-project/dice/internal/bird"
+	"github.com/dice-project/dice/internal/checkpoint/codec"
 	"github.com/dice-project/dice/internal/netem"
 	"github.com/dice-project/dice/internal/node"
 )
@@ -71,46 +76,42 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not a gob stream")); err == nil {
+	if _, err := Decode([]byte("not a snapshot")); err == nil {
 		t.Errorf("garbage must not decode")
 	}
 }
 
-// TestDecodeLegacyGob pins the compatibility fallback: artifacts written with
-// the pre-codec gob encoder (no codec header) must still load through Decode,
-// and gob-encoded single nodes through DecodeNode.
-func TestDecodeLegacyGob(t *testing.T) {
-	s := sampleSnapshot(t)
-	data, err := EncodeGob(s)
+// legacyGobSnapshot returns a snapshot artifact written by the last release
+// that still had a gob encoder — the fuzz corpus's hand-kept legacy-gob seed.
+func legacyGobSnapshot(t testing.TB) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCheckpointCodecDecode", "legacy-gob"))
 	if err != nil {
-		t.Fatalf("EncodeGob: %v", err)
+		t.Fatal(err)
 	}
-	if codecIs := len(data) >= 2 && data[0] == 0xD1 && data[1] == 0xCE; codecIs {
+	lit := strings.TrimSuffix(strings.TrimPrefix(strings.SplitN(string(raw), "\n", 2)[1], "[]byte("), ")\n")
+	data, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("legacy-gob seed does not parse: %v", err)
+	}
+	return []byte(data)
+}
+
+// TestDecodeLegacyGob pins that there is no second format: an artifact
+// written by the pre-codec gob encoder is refused at the header by every
+// decode surface, not handed to another decoder.
+func TestDecodeLegacyGob(t *testing.T) {
+	data := legacyGobSnapshot(t)
+	if codec.IsEncoded(data) {
 		t.Fatalf("gob encoding unexpectedly carries the codec magic")
 	}
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatalf("Decode(legacy gob): %v", err)
+	if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Errorf("Decode(legacy gob) = %v, want a bad-magic error", err)
 	}
-	if got.At != s.At || len(got.Nodes) != 2 || got.Nodes["A"].NodeName() != "A" {
-		t.Errorf("legacy decode lost state: %+v", got)
-	}
-
-	nodeData, err := EncodeNodeGob(s.Nodes["A"])
-	if err != nil {
-		t.Fatalf("EncodeNodeGob: %v", err)
-	}
-	cp, err := DecodeNode("bird", nodeData)
-	if err != nil {
-		t.Fatalf("DecodeNode(legacy gob): %v", err)
-	}
-	if cp.NodeName() != "A" {
-		t.Errorf("legacy node decode = %q", cp.NodeName())
-	}
-	// Without the in-band tag of the codec form, a gob node encoding is
-	// undecodable when no implementation is supplied.
-	if _, err := DecodeNode("", nodeData); err == nil {
-		t.Errorf("tagless gob node decode must fail")
+	for _, impl := range []string{"", "bird"} {
+		if _, err := DecodeNode(impl, data); err == nil || !strings.Contains(err.Error(), "magic") {
+			t.Errorf("DecodeNode(%q, legacy gob) = %v, want a bad-magic error", impl, err)
+		}
 	}
 }
 
@@ -207,8 +208,8 @@ func TestNodeNamesSorted(t *testing.T) {
 	}
 }
 
-// TestDecodeSubHeaderInputs: the codec-vs-gob sniff must route zero-length
-// and sub-header inputs to a clean error on both decode surfaces — a
+// TestDecodeSubHeaderInputs: zero-length and sub-header inputs must come back
+// as a clean error from both decode surfaces — a
 // truncated artifact can never slice-panic the snapshot loader.
 func TestDecodeSubHeaderInputs(t *testing.T) {
 	for _, data := range [][]byte{nil, {}, {0xD1}, {0xD1, 0xCE}, {0xD1, 0xCE, 1}} {

@@ -73,6 +73,32 @@ func Strings(r *Reader) []string {
 	return out
 }
 
+// PutBlobMap writes a name → bytes map (concolic input regions) in sorted
+// key order.
+func PutBlobMap(w *Writer, m map[string][]byte) {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sortStrings(names)
+	w.Uvarint(uint64(len(names)))
+	for _, name := range names {
+		w.String(name)
+		w.Blob(m[name])
+	}
+}
+
+// BlobMap reads a name → bytes map. The result is non-nil even when empty.
+func BlobMap(r *Reader) map[string][]byte {
+	n := r.Count()
+	out := make(map[string][]byte)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		name := r.String()
+		out[name] = r.Blob()
+	}
+	return out
+}
+
 func putRoute(w *Writer, rec *node.RouteRecord) {
 	var flags uint8
 	if rec.HasMED {

@@ -11,53 +11,24 @@ import (
 )
 
 // DecodeNode deserializes a single node checkpoint produced by EncodeNode.
-// Canonical encodings carry their implementation tag in-band, so impl may be
-// empty for them; it must match when supplied. Data without the codec header
-// is legacy gob, where the tag is essential: the concrete-typed gob bytes
-// say nothing about which backend's type to decode into.
+// The encoding carries its implementation tag in-band, so impl may be empty;
+// it must match when supplied.
 func DecodeNode(impl string, data []byte) (node.Checkpoint, error) {
-	if codec.IsEncoded(data) {
-		r := codec.NewReader(data)
-		r.Header(codec.KindNode)
-		tagged := r.String()
-		payload := r.Blob()
-		if err := r.Close(); err != nil {
-			return nil, fmt.Errorf("checkpoint: decode node: %w", err)
-		}
-		if impl != "" && impl != tagged {
-			return nil, fmt.Errorf("checkpoint: decode node: encoding is %q, not %q", tagged, impl)
-		}
-		be, err := node.BackendFor(tagged)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: decode node: %w", err)
-		}
-		if be.DecodeCanonical == nil {
-			return nil, fmt.Errorf("checkpoint: backend %q cannot decode canonical checkpoints", tagged)
-		}
-		return be.DecodeCanonical(payload)
+	r := codec.NewReader(data)
+	r.Header(codec.KindNode)
+	tagged := r.String()
+	payload := r.Blob()
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("checkpoint: decode node: %w", err)
 	}
-	if impl == "" {
-		return nil, fmt.Errorf("checkpoint: decode node: no codec header and no implementation tag")
+	if impl != "" && impl != tagged {
+		return nil, fmt.Errorf("checkpoint: decode node: encoding is %q, not %q", tagged, impl)
 	}
-	be, err := node.BackendFor(impl)
+	be, err := node.BackendFor(tagged)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: decode node: %w", err)
 	}
-	if be.DecodeCheckpoint == nil {
-		return nil, fmt.Errorf("checkpoint: backend %q cannot decode shipped checkpoints", impl)
-	}
-	return decodeNodeGob(be, data)
-}
-
-// decodeNodeGob runs the backend's legacy gob decoder, converting decoder
-// panics on malformed bytes into errors.
-func decodeNodeGob(be node.Backend, data []byte) (cp node.Checkpoint, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			cp, err = nil, fmt.Errorf("checkpoint: legacy gob decode panicked: %v", rec)
-		}
-	}()
-	return be.DecodeCheckpoint(data)
+	return be.DecodeCanonical(payload)
 }
 
 // NodePatch is the shipping form of one node's divergence from a baseline

@@ -1,18 +1,19 @@
 package checkpoint
 
 import (
-	"bytes"
 	"testing"
 
 	"github.com/dice-project/dice/internal/checkpoint/codec"
+	"github.com/dice-project/dice/internal/checkpoint/codec/codectest"
+	"github.com/dice-project/dice/internal/node"
 )
 
 // FuzzCheckpointCodecDecode hammers the codec's decode surface with mutated
 // bytes: whole snapshots, single-node encodings, flipped headers, truncated
-// slabs, and the legacy gob fallback path. The contract under fuzzing is the
-// codec's core safety property — malformed input returns an error, it never
-// panics and never decodes into a value that re-encodes differently. The
-// checked-in seed corpus (testdata/fuzz/FuzzCheckpointCodecDecode) starts
+// slabs, and a pre-codec gob artifact that must now be refused. The contract
+// under fuzzing is the one every codec surface shares (codectest.FixedPoint)
+// — malformed input returns an error, it never panics and never decodes into
+// a value that re-encodes differently. The checked-in seed corpus (testdata/fuzz/FuzzCheckpointCodecDecode) starts
 // the mutator from valid encodings so it spends its budget inside the slab
 // parsers, not on the magic check.
 func FuzzCheckpointCodecDecode(f *testing.F) {
@@ -25,9 +26,9 @@ func FuzzCheckpointCodecDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	gobEnc, err := EncodeGob(s)
-	if err != nil {
-		f.Fatal(err)
+	gobEnc := legacyGobSnapshot(f)
+	if _, err := Decode(gobEnc); err == nil {
+		f.Fatal("legacy gob artifact decoded; there must be no second format")
 	}
 
 	f.Add(snapEnc)
@@ -46,41 +47,22 @@ func FuzzCheckpointCodecDecode(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Decode must error or produce a snapshot that re-encodes cleanly.
-		// The re-encoding is the canonical form (mutated input may carry
-		// non-minimal varints or unsorted maps that parse anyway), so it must
-		// be a fixed point: decoding it and encoding again is bytewise stable.
-		if snap, err := Decode(data); err == nil {
-			re, err := Encode(snap)
+		codectest.FixedPoint(t, data, 0, Decode, func(snap *Snapshot) ([]byte, error) {
+			enc, err := Encode(snap)
 			if err != nil {
-				t.Fatalf("decoded snapshot does not re-encode: %v", err)
+				return nil, err
 			}
-			snap2, err := Decode(re)
-			if err != nil {
-				t.Fatalf("re-encoded snapshot does not decode: %v", err)
+			// Size accounting must agree with the encoder on anything that
+			// decodes, not only on snapshots the system built itself.
+			if sizes, err := Measure(snap); err != nil || sizes.TotalBytes != len(enc) {
+				t.Fatalf("Measure = %d (%v), len(Encode) = %d", sizes.TotalBytes, err, len(enc))
 			}
-			re2, err := Encode(snap2)
-			if err != nil {
-				t.Fatalf("second re-encode failed: %v", err)
-			}
-			if !bytes.Equal(re, re2) {
-				t.Fatalf("canonical form not a fixed point: %d vs %d bytes", len(re), len(re2))
-			}
-			sizes, err := Measure(snap)
-			if err != nil {
-				t.Fatalf("decoded snapshot does not measure: %v", err)
-			}
-			if sizes.TotalBytes != len(re) {
-				t.Fatalf("Measure %d != len(Encode) %d", sizes.TotalBytes, len(re))
-			}
-		}
+			return enc, nil
+		})
 		// Same contract for the single-node surface, tagless and tagged.
 		for _, impl := range []string{"", "bird", "frr"} {
-			if cp, err := DecodeNode(impl, data); err == nil {
-				if _, err := EncodeNode(cp); err != nil {
-					t.Fatalf("decoded node (impl %q) does not re-encode: %v", impl, err)
-				}
-			}
+			codectest.FixedPoint(t, data, 0,
+				func(b []byte) (node.Checkpoint, error) { return DecodeNode(impl, b) }, EncodeNode)
 		}
 	})
 }

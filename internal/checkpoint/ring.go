@@ -20,8 +20,7 @@ import (
 // one hash reference (HashSize bytes) in its place. The deterministic codec
 // is what makes this sound: identical state encodes to identical bytes, so
 // equal hashes mean equal state, with no caller-supplied fingerprints in the
-// loop. (The old gob encoding serialized maps in randomized iteration order,
-// which forced exactly that fingerprint workaround.)
+// loop.
 type Epoch struct {
 	// Seq is the epoch number, 1-based and monotonically increasing across
 	// the ring's lifetime (eviction never reuses a sequence number).

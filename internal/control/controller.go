@@ -172,7 +172,7 @@ func (c *Controller) Register(h *Hello) *Welcome {
 var ErrNoCampaign = errors.New("control: no campaign running")
 
 // BaselinePayload returns the campaign baseline for an agent's one-time
-// fetch, accounting its wire size.
+// fetch.
 func (c *Controller) BaselinePayload(req *BaselineRequest) (*Baseline, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -184,12 +184,20 @@ func (c *Controller) BaselinePayload(req *BaselineRequest) (*Baseline, error) {
 		return nil, fmt.Errorf("control: unknown agent %q", req.AgentID)
 	}
 	ag.lastSeen = c.cfg.Clock()
-	n, err := FrameSize(&c.run.baseline)
-	if err != nil {
-		return nil, err
-	}
-	c.stats.BaselineBytes += n
 	return &c.run.baseline, nil
+}
+
+// sent accounts a frame of n bytes about to leave for an agent. Only the
+// kinds RemoteStats breaks out are counted: baselines and shard leases.
+func (c *Controller) sent(msg any, n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch msg.(type) {
+	case *Baseline:
+		c.stats.BaselineBytes += n
+	case *Lease:
+		c.stats.ShardBytes += n
+	}
 }
 
 // LeaseNext grants the next pending shard to the agent, or NoWork when
@@ -234,9 +242,6 @@ func (c *Controller) LeaseNext(req *LeaseRequest) (any, error) {
 			Units:       append([]dice.Unit(nil), ss.shard.Units...),
 			Delta:       run.delta,
 		}
-		if n, err := FrameSize(lease); err == nil {
-			c.stats.ShardBytes += n
-		}
 		c.logf("control: leased shard %d (%d units, attempt %d) to %s",
 			ss.shard.ID, len(ss.shard.Units), ss.attempt, req.AgentID)
 		return lease, nil
@@ -275,8 +280,10 @@ func (c *Controller) HeartbeatRenew(hb *Heartbeat) (*HeartbeatAck, error) {
 
 // SubmitResult accepts a completed shard, rejecting results from superseded
 // lease attempts so a slow former owner cannot double-report after
-// reassignment. Accepted results stream into the campaign sink.
-func (c *Controller) SubmitResult(sr *ShardResult) (*ResultAck, error) {
+// reassignment. Accepted results stream into the campaign sink, and their
+// frameBytes — the size the result's frame had on the wire — into
+// RemoteStats.ResultBytes.
+func (c *Controller) SubmitResult(sr *ShardResult, frameBytes int) (*ResultAck, error) {
 	c.mu.Lock()
 	run := c.run
 	if run == nil || run.cancelled || sr.Shard < 0 || sr.Shard >= len(run.shards) {
@@ -300,9 +307,7 @@ func (c *Controller) SubmitResult(sr *ShardResult) (*ResultAck, error) {
 	if ag := c.agents[sr.AgentID]; ag != nil {
 		ag.lastSeen = c.cfg.Clock()
 	}
-	if n, err := FrameSize(sr); err == nil {
-		c.stats.ResultBytes += n
-	}
+	c.stats.ResultBytes += frameBytes
 	sink := run.sink
 	run.inflight.Add(1)
 	c.mu.Unlock()

@@ -116,7 +116,7 @@ func TestControllerLeaseExpiryAndReassignment(t *testing.T) {
 	if len(leaseA.UnitIndexes) != 2 || leaseA.Attempt != 1 {
 		t.Fatalf("lease A = %+v, want 2 units attempt 1", leaseA)
 	}
-	// Baseline is now servable and accounted.
+	// Baseline is now servable.
 	if _, err := c.BaselinePayload(&BaselineRequest{AgentID: wa.AgentID}); err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestControllerLeaseExpiryAndReassignment(t *testing.T) {
 			{Index: leaseB.UnitIndexes[0], Result: &RemoteResult{InputsExplored: 1}},
 			{Index: leaseB.UnitIndexes[1], Result: &RemoteResult{InputsExplored: 1}},
 		},
-	})
+	}, 0)
 	if err != nil || !ack.Accepted {
 		t.Fatalf("B's result not accepted: %+v, %v", ack, err)
 	}
@@ -153,7 +153,7 @@ func TestControllerLeaseExpiryAndReassignment(t *testing.T) {
 	stale, err := c.SubmitResult(&ShardResult{
 		AgentID: wa.AgentID, Shard: leaseA.Shard, Attempt: leaseA.Attempt,
 		Units: []UnitResult{{Index: leaseA.UnitIndexes[0]}, {Index: leaseA.UnitIndexes[1]}},
-	})
+	}, 0)
 	if err != nil || stale.Accepted {
 		t.Fatalf("stale result accepted: %+v, %v", stale, err)
 	}
@@ -163,7 +163,7 @@ func TestControllerLeaseExpiryAndReassignment(t *testing.T) {
 			{Index: leaseB2.UnitIndexes[0], Result: &RemoteResult{InputsExplored: 1}},
 			{Index: leaseB2.UnitIndexes[1], Result: &RemoteResult{InputsExplored: 1}},
 		},
-	})
+	}, 0)
 	if err != nil || !fresh.Accepted {
 		t.Fatalf("fresh result rejected: %+v, %v", fresh, err)
 	}
@@ -185,8 +185,11 @@ func TestControllerLeaseExpiryAndReassignment(t *testing.T) {
 	if stats.Shards != 2 || stats.Agents != 2 || stats.Reassigned != 1 {
 		t.Errorf("stats = %+v, want 2 shards, 2 agents, 1 reassignment", stats)
 	}
-	if stats.BaselineBytes == 0 || stats.ShardBytes == 0 || stats.ResultBytes == 0 {
-		t.Errorf("wire accounting missing: %+v", stats)
+	// Nothing crossed a wire here — the test calls the controller directly —
+	// so nothing may be accounted; TestWireAccountingMatchesTransport covers
+	// the byte counts where frames actually travel.
+	if stats.BaselineBytes != 0 || stats.ShardBytes != 0 || stats.ResultBytes != 0 {
+		t.Errorf("wire bytes accounted with no wire: %+v", stats)
 	}
 }
 

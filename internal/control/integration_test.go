@@ -1,11 +1,14 @@
 package control_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -75,6 +78,13 @@ func runInProcess(t *testing.T, fed bool) *dice.CampaignResult {
 // over the in-process transport or a real loopback TCP server.
 func runDistributed(t *testing.T, n int, useTCP, fed bool) (*dice.CampaignResult, *control.Controller) {
 	t.Helper()
+	return runDistributedVia(t, n, useTCP, fed, nil)
+}
+
+// runDistributedVia is runDistributed with the agents' transport wrapped by
+// wrap (nil leaves it alone), for tests that watch the bytes go by.
+func runDistributedVia(t *testing.T, n int, useTCP, fed bool, wrap func(http.RoundTripper) http.RoundTripper) (*dice.CampaignResult, *control.Controller) {
+	t.Helper()
 	topo, live, copts := hijackedFixture(t, 4)
 	ctrl := control.NewController(control.Config{
 		Campaign:      "itest",
@@ -92,6 +102,9 @@ func runDistributed(t *testing.T, n int, useTCP, fed bool) (*dice.CampaignResult
 		url, client = srv.URL, srv.Client()
 	} else {
 		url, client = "http://control.inproc", control.InProcessClient(handler)
+	}
+	if wrap != nil {
+		client = &http.Client{Transport: wrap(client.Transport)}
 	}
 
 	agentCtx, cancelAgents := context.WithCancel(context.Background())
@@ -188,8 +201,8 @@ func TestDistributedThreeAgentsMatchesInProcess(t *testing.T) {
 	// The privacy boundary on the wire: per-unit results are summaries and
 	// verdicts, below the full-state counterfactual (every explored input
 	// shipping a full snapshot back). The margin is 2x, not more: the binary
-	// codec shrank snapshots roughly threefold versus gob, so the
-	// counterfactual itself is a much lower bar than it used to be.
+	// codec keeps snapshots compact, so the counterfactual itself is a low
+	// bar.
 	if full := remote.FullStateBytes * remote.InputsExplored; full > 0 && stats.ResultBytes*2 >= full {
 		t.Errorf("result wire bytes %d not well below full-state counterfactual %d", stats.ResultBytes, full)
 	}
@@ -199,6 +212,95 @@ func TestDistributedThreeAgentsMatchesInProcess(t *testing.T) {
 	}
 	if total < stats.Shards {
 		t.Errorf("lease ledger covers %d grants for %d shards", total, stats.Shards)
+	}
+}
+
+// countingTransport tallies, from outside the controller, the frame bytes of
+// the three kinds RemoteStats breaks out: baseline replies, lease grants and
+// accepted shard results. Agents call it concurrently.
+type countingTransport struct {
+	next http.RoundTripper
+
+	mu                      sync.Mutex
+	baseline, shard, result int
+}
+
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	reqBody, _ := io.ReadAll(req.Body)
+	req.Body = io.NopCloser(bytes.NewReader(reqBody))
+	resp, err := c.next.RoundTrip(req)
+	if err != nil {
+		return resp, err
+	}
+	respBody, _ := io.ReadAll(resp.Body)
+	resp.Body = io.NopCloser(bytes.NewReader(respBody))
+	if resp.StatusCode != http.StatusOK {
+		return resp, nil
+	}
+	msg, err := control.DecodeFrame(bytes.NewReader(respBody))
+	if err != nil {
+		return resp, nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch m := msg.(type) {
+	case *control.Baseline:
+		c.baseline += len(respBody)
+	case *control.Lease:
+		c.shard += len(respBody)
+	case *control.ResultAck:
+		if m.Accepted {
+			c.result += len(reqBody)
+		}
+	}
+	return resp, nil
+}
+
+// TestWireAccountingMatchesTransport: RemoteStats' byte counts are the bytes
+// that crossed — header plus payload of every baseline, lease and accepted
+// result frame — identically over the in-process transport and loopback TCP.
+// The controller counts them where the handler encodes and decodes, so an
+// outside observer of the transport must arrive at the same totals.
+func TestWireAccountingMatchesTransport(t *testing.T) {
+	for _, useTCP := range []bool{false, true} {
+		var seen *countingTransport
+		res, _ := runDistributedVia(t, 2, useTCP, true, func(next http.RoundTripper) http.RoundTripper {
+			seen = &countingTransport{next: next}
+			return seen
+		})
+		stats := res.Remote
+		if stats == nil || stats.BaselineBytes == 0 || stats.ShardBytes == 0 || stats.ResultBytes == 0 {
+			t.Fatalf("tcp=%v: wire accounting incomplete: %+v", useTCP, stats)
+		}
+		if stats.BaselineBytes != seen.baseline || stats.ShardBytes != seen.shard || stats.ResultBytes != seen.result {
+			t.Errorf("tcp=%v: controller accounted baseline/shard/result %d/%d/%d bytes, transport carried %d/%d/%d",
+				useTCP, stats.BaselineBytes, stats.ShardBytes, stats.ResultBytes, seen.baseline, seen.shard, seen.result)
+		}
+	}
+}
+
+// TestReplyEncodeFailureIsA500: a reply that cannot be framed — here a
+// Welcome whose campaign name is over the kind's bound — must reach the agent
+// as a 500 naming the cause, not as an empty 200 it reads as "frame header:
+// EOF".
+func TestReplyEncodeFailureIsA500(t *testing.T) {
+	ctrl := control.NewController(control.Config{Campaign: strings.Repeat("c", 8<<10)})
+	handler := control.NewHandler(ctrl)
+
+	var hello bytes.Buffer
+	if _, err := control.EncodeFrame(&hello, &control.Hello{Agent: "a", Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/register", &hello))
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "exceeds bound") {
+		t.Fatalf("register reply = %d %q, want 500 naming the bound", rec.Code, rec.Body.String())
+	}
+
+	ag := agent.New(agent.Config{Name: "a", ControlURL: "http://control.inproc", Client: control.InProcessClient(handler)})
+	err := ag.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "500") || strings.Contains(err.Error(), "EOF") {
+		t.Fatalf("agent error = %v, want one naming the 500 status", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,15 +14,15 @@ import (
 func NewHandler(c *Controller) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/register", func(w http.ResponseWriter, r *http.Request) {
-		hello, err := decodeAs[*Hello](r)
+		hello, _, err := decodeAs[*Hello](r)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		reply(w, c.Register(hello))
+		reply(c, w, c.Register(hello))
 	})
 	mux.HandleFunc("POST /v1/baseline", func(w http.ResponseWriter, r *http.Request) {
-		req, err := decodeAs[*BaselineRequest](r)
+		req, _, err := decodeAs[*BaselineRequest](r)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -35,10 +36,10 @@ func NewHandler(c *Controller) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		reply(w, b)
+		reply(c, w, b)
 	})
 	mux.HandleFunc("POST /v1/lease", func(w http.ResponseWriter, r *http.Request) {
-		req, err := decodeAs[*LeaseRequest](r)
+		req, _, err := decodeAs[*LeaseRequest](r)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -48,10 +49,10 @@ func NewHandler(c *Controller) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		reply(w, msg)
+		reply(c, w, msg)
 	})
 	mux.HandleFunc("POST /v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		hb, err := decodeAs[*Heartbeat](r)
+		hb, _, err := decodeAs[*Heartbeat](r)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -61,42 +62,52 @@ func NewHandler(c *Controller) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		reply(w, ack)
+		reply(c, w, ack)
 	})
 	mux.HandleFunc("POST /v1/result", func(w http.ResponseWriter, r *http.Request) {
-		sr, err := decodeAs[*ShardResult](r)
+		sr, n, err := decodeAs[*ShardResult](r)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		ack, err := c.SubmitResult(sr)
+		ack, err := c.SubmitResult(sr, n)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		reply(w, ack)
+		reply(c, w, ack)
 	})
 	return mux
 }
 
-// decodeAs decodes the request body's single frame as a specific payload.
-func decodeAs[T any](r *http.Request) (T, error) {
+// decodeAs decodes the request body's single frame as a specific payload and
+// reports the frame's size on the wire.
+func decodeAs[T any](r *http.Request) (T, int, error) {
 	var zero T
-	msg, err := DecodeFrame(r.Body)
+	msg, n, err := decodeFrame(r.Body)
 	if err != nil {
-		return zero, err
+		return zero, 0, err
 	}
 	typed, ok := msg.(T)
 	if !ok {
-		return zero, fmt.Errorf("control: expected %T, got %T", zero, msg)
+		return zero, 0, fmt.Errorf("control: expected %T, got %T", zero, msg)
 	}
-	return typed, nil
+	return typed, n, nil
 }
 
-func reply(w http.ResponseWriter, msg any) {
-	w.Header().Set("Content-Type", "application/x-dice-frame")
-	if _, err := EncodeFrame(w, msg); err != nil {
-		// Headers are already out; nothing recoverable remains.
+// reply frames msg in full before answering, so a message that cannot be
+// framed becomes a 500 carrying the cause instead of an empty 200, and the
+// frame's bytes are accounted once, here, where they cross.
+func reply(c *Controller, w http.ResponseWriter, msg any) {
+	var frame bytes.Buffer
+	n, err := EncodeFrame(&frame, msg)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	c.sent(msg, n)
+	w.Header().Set("Content-Type", "application/x-dice-frame")
+	// A failed write means the agent hung up; its retry, or the lease
+	// expiring, is the recovery.
+	_, _ = w.Write(frame.Bytes())
 }

@@ -13,64 +13,23 @@
 package control
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"github.com/dice-project/dice/internal/checker"
 	"github.com/dice-project/dice/internal/checkpoint"
+	"github.com/dice-project/dice/internal/checkpoint/codec"
 	"github.com/dice-project/dice/internal/concolic"
 	"github.com/dice-project/dice/internal/dice"
 	"github.com/dice-project/dice/internal/federation"
 	"github.com/dice-project/dice/internal/topology"
 )
 
-// Wire framing: a fixed header of magic "DW", a version byte, a message-type
-// byte and a big-endian uint32 payload length, followed by the gob-encoded
-// payload. The version byte is checked before anything is decoded, so a
-// future incompatible revision fails loudly instead of misparsing.
-const (
-	wireMagic0 = 'D'
-	wireMagic1 = 'W'
-	// WireVersion is the protocol revision; bump on incompatible change.
-	// Version 2: baseline snapshots ship in the deterministic codec encoding
-	// (not gob) and Baseline carries the snapshot's content hash; node
-	// patches inside Lease deltas carry per-node content hashes.
-	// Version 3: unit results cross the wire as RemoteResult projections —
-	// detections carry checker.ViolationDigest (never a Violation's free-form
-	// Detail) and snapshot provenance is recomputed control-side, so the
-	// result path discloses exactly what a federation summary would. A peer
-	// speaking an older version would ship or expect full dice.Result values,
-	// so the mismatch is rejected at the frame header, before any payload is
-	// decoded.
-	WireVersion = 3
-	// maxFramePayload caps a frame's payload so a corrupt or hostile length
-	// field cannot make the decoder allocate unboundedly.
-	maxFramePayload = 64 << 20
-	frameHeaderLen  = 8
-)
-
-// MsgType tags a frame's payload type.
-type MsgType byte
-
-const (
-	MsgHello MsgType = iota + 1
-	MsgWelcome
-	MsgBaselineRequest
-	MsgBaseline
-	MsgLeaseRequest
-	MsgLease
-	MsgNoWork
-	MsgHeartbeat
-	MsgHeartbeatAck
-	MsgShardResult
-	MsgResultAck
-	msgTypeEnd
-)
+// WireVersion is the protocol revision — the version byte of every control
+// frame (codec.VersionControl has the history). A peer speaking another
+// revision is rejected at the frame header, before any payload is decoded.
+const WireVersion = codec.VersionControl
 
 // Hello registers an agent: its self-chosen name, the router backends its
 // binary supports and the worker parallelism it offers.
@@ -260,142 +219,70 @@ type ResultAck struct {
 	Accepted bool
 }
 
-// msgTypeOf maps a payload value to its frame tag.
-func msgTypeOf(msg any) (MsgType, error) {
-	switch msg.(type) {
-	case *Hello:
-		return MsgHello, nil
-	case *Welcome:
-		return MsgWelcome, nil
-	case *BaselineRequest:
-		return MsgBaselineRequest, nil
-	case *Baseline:
-		return MsgBaseline, nil
-	case *LeaseRequest:
-		return MsgLeaseRequest, nil
-	case *Lease:
-		return MsgLease, nil
-	case *NoWork:
-		return MsgNoWork, nil
-	case *Heartbeat:
-		return MsgHeartbeat, nil
-	case *HeartbeatAck:
-		return MsgHeartbeatAck, nil
-	case *ShardResult:
-		return MsgShardResult, nil
-	case *ResultAck:
-		return MsgResultAck, nil
-	default:
-		return 0, fmt.Errorf("control: cannot frame %T", msg)
-	}
+// message is a wire message: its kind in the codec kind table and its
+// record, the ordered field list that both encodes and decodes it
+// (records.go).
+type message interface {
+	kind() byte
+	fields(c rw)
 }
 
-// newMessage returns a fresh payload value for a frame tag.
-func newMessage(t MsgType) (any, error) {
-	switch t {
-	case MsgHello:
-		return &Hello{}, nil
-	case MsgWelcome:
-		return &Welcome{}, nil
-	case MsgBaselineRequest:
-		return &BaselineRequest{}, nil
-	case MsgBaseline:
-		return &Baseline{}, nil
-	case MsgLeaseRequest:
-		return &LeaseRequest{}, nil
-	case MsgLease:
-		return &Lease{}, nil
-	case MsgNoWork:
-		return &NoWork{}, nil
-	case MsgHeartbeat:
-		return &Heartbeat{}, nil
-	case MsgHeartbeatAck:
-		return &HeartbeatAck{}, nil
-	case MsgShardResult:
-		return &ShardResult{}, nil
-	case MsgResultAck:
-		return &ResultAck{}, nil
-	default:
-		return nil, fmt.Errorf("control: unknown message type %d", t)
-	}
+// newMessage returns a fresh payload value for each control kind.
+var newMessage = map[byte]func() message{
+	codec.KindHello:           func() message { return new(Hello) },
+	codec.KindWelcome:         func() message { return new(Welcome) },
+	codec.KindBaselineRequest: func() message { return new(BaselineRequest) },
+	codec.KindBaseline:        func() message { return new(Baseline) },
+	codec.KindLeaseRequest:    func() message { return new(LeaseRequest) },
+	codec.KindLease:           func() message { return new(Lease) },
+	codec.KindNoWork:          func() message { return new(NoWork) },
+	codec.KindHeartbeat:       func() message { return new(Heartbeat) },
+	codec.KindHeartbeatAck:    func() message { return new(HeartbeatAck) },
+	codec.KindShardResult:     func() message { return new(ShardResult) },
+	codec.KindResultAck:       func() message { return new(ResultAck) },
 }
 
 // EncodeFrame writes msg as one versioned frame and returns the bytes
 // written (header plus payload) — the number the wire accounting records.
+// The payload is built in full before the first byte is written.
 func EncodeFrame(w io.Writer, msg any) (int, error) {
-	t, err := msgTypeOf(msg)
+	m, ok := msg.(message)
+	if !ok {
+		return 0, fmt.Errorf("control: cannot frame %T", msg)
+	}
+	cw := codec.NewWriter()
+	m.fields(rw{w: cw})
+	n, err := codec.WriteFrame(w, m.kind(), cw.Bytes())
 	if err != nil {
-		return 0, err
+		return n, fmt.Errorf("control: encode %T: %w", msg, err)
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(msg); err != nil {
-		return 0, fmt.Errorf("control: encode %T: %w", msg, err)
-	}
-	if payload.Len() > maxFramePayload {
-		return 0, fmt.Errorf("control: %T payload %d exceeds frame cap %d", msg, payload.Len(), maxFramePayload)
-	}
-	hdr := [frameHeaderLen]byte{wireMagic0, wireMagic1, WireVersion, byte(t)}
-	binary.BigEndian.PutUint32(hdr[4:], uint32(payload.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	n, err := w.Write(payload.Bytes())
-	return frameHeaderLen + n, err
+	return n, nil
 }
 
 // DecodeFrame reads one frame and returns its decoded payload. Malformed
-// input — bad magic, unsupported version, unknown type, oversized or
-// truncated payload, corrupt gob — returns an error; it never panics, since
-// frames arrive from the network.
-func DecodeFrame(r io.Reader) (msg any, err error) {
-	defer func() {
-		// gob decodes attacker-controlled bytes; a decoder panic must not
-		// take the process down.
-		if rec := recover(); rec != nil {
-			msg, err = nil, fmt.Errorf("control: frame decode panicked: %v", rec)
-		}
-	}()
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("control: frame header: %w", err)
-	}
-	if hdr[0] != wireMagic0 || hdr[1] != wireMagic1 {
-		return nil, errors.New("control: bad frame magic")
-	}
-	if hdr[2] != WireVersion {
-		return nil, fmt.Errorf("control: unsupported wire version %d (have %d)", hdr[2], WireVersion)
-	}
-	t := MsgType(hdr[3])
-	if t == 0 || t >= msgTypeEnd {
-		return nil, fmt.Errorf("control: unknown message type %d", t)
-	}
-	n := binary.BigEndian.Uint32(hdr[4:])
-	if n > maxFramePayload {
-		return nil, fmt.Errorf("control: frame payload %d exceeds cap %d", n, maxFramePayload)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("control: frame payload: %w", err)
-	}
-	out, err := newMessage(t)
+// input — bad magic, unsupported version, unknown kind, oversized or
+// truncated payload, corrupt or trailing record bytes — returns an error; it
+// never panics, since frames arrive from the network.
+func DecodeFrame(r io.Reader) (any, error) {
+	msg, _, err := decodeFrame(r)
+	return msg, err
+}
+
+// decodeFrame is DecodeFrame plus the frame's size on the wire.
+func decodeFrame(r io.Reader) (any, int, error) {
+	kind, payload, err := codec.ReadFrame(r, codec.Control)
 	if err != nil {
-		return nil, err
+		return nil, 0, fmt.Errorf("control: %w", err)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
-		return nil, fmt.Errorf("control: decode %T: %w", out, err)
+	mk := newMessage[kind]
+	if mk == nil {
+		return nil, 0, fmt.Errorf("control: no message for frame kind %s", codec.KindName(kind))
 	}
-	return out, nil
-}
-
-// FrameSize returns the encoded frame size of msg without writing it.
-func FrameSize(msg any) (int, error) {
-	var cw countWriter
-	return EncodeFrame(&cw, msg)
-}
-
-type countWriter int
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	*c += countWriter(len(p))
-	return len(p), nil
+	m := mk()
+	cr := codec.NewReader(payload)
+	m.fields(rw{r: cr})
+	if err := cr.Close(); err != nil {
+		return nil, 0, fmt.Errorf("control: decode %T: %w", m, err)
+	}
+	return m, codec.FrameHeaderLen + len(payload), nil
 }

@@ -130,21 +130,13 @@ func TestCampaignBudgetSplit(t *testing.T) {
 	}
 }
 
-func TestEngineShimEmptyPropertiesDisablesChecking(t *testing.T) {
+func TestCampaignEmptyPropertiesDisablesChecking(t *testing.T) {
 	topo, live, copts := hijackedLine(t, 3)
-	res, err := New(live, topo, Options{
-		Explorer:       "R2",
-		MaxInputs:      4,
-		FuzzSeeds:      2,
-		Seed:           1,
-		Properties:     []checker.Property{}, // explicitly: check nothing
-		ClusterOptions: copts,
-	}).Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := runUnit(t, live, topo, Unit{Explorer: "R2", FromPeer: "R1", MaxInputs: 4, FuzzSeeds: 2, Seed: 1},
+		WithProperties(), // explicitly: check nothing
+		WithClusterOptions(copts))
 	if len(res.Detections) != 0 {
-		t.Errorf("empty (non-nil) Properties must disable checking, got %d detections", len(res.Detections))
+		t.Errorf("WithProperties() must disable checking, got %d detections", len(res.Detections))
 	}
 }
 
@@ -422,36 +414,6 @@ func TestCampaignMultiUnitMergesDetections(t *testing.T) {
 	}
 	if res.InputsExplored != res.Units[0].InputsExplored+res.Units[1].InputsExplored {
 		t.Errorf("campaign inputs %d != sum of unit inputs", res.InputsExplored)
-	}
-}
-
-func TestEngineShimMatchesCampaign(t *testing.T) {
-	runEngine := func() *Result {
-		topo, live, copts := hijackedLine(t, 3)
-		res, err := New(live, topo, Options{Explorer: "R2", FromPeer: "R3", MaxInputs: 8, FuzzSeeds: 4, UseConcolic: true, Seed: 1, ClusterOptions: copts}).Run()
-		if err != nil {
-			t.Fatalf("engine Run: %v", err)
-		}
-		return res
-	}
-	runCampaign := func() *CampaignResult {
-		topo, live, copts := hijackedLine(t, 3)
-		res, err := NewCampaign(live, topo,
-			WithUnits(Unit{Explorer: "R2", FromPeer: "R3", MaxInputs: 8, FuzzSeeds: 4, Seed: 1}),
-			WithWorkers(1),
-			WithClusterOptions(copts)).Run(context.Background())
-		if err != nil {
-			t.Fatalf("campaign Run: %v", err)
-		}
-		return res
-	}
-	er, cr := runEngine(), runCampaign()
-	if er.InputsExplored != cr.InputsExplored {
-		t.Errorf("shim explored %d inputs, campaign %d", er.InputsExplored, cr.InputsExplored)
-	}
-	if fmt.Sprint(detectionKeys(er.Detections)) != fmt.Sprint(detectionKeys(cr.Detections)) {
-		t.Errorf("shim and campaign detections differ:\n  engine   %v\n  campaign %v",
-			detectionKeys(er.Detections), detectionKeys(cr.Detections))
 	}
 }
 

@@ -19,72 +19,16 @@
 //
 // Exploration runs alongside the deployed cluster but never mutates it: every
 // input is evaluated on a fresh clone restored from the snapshot.
-//
-// The Engine type is the legacy single-round API, kept as a thin shim over a
-// single-unit campaign.
 package dice
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"github.com/dice-project/dice/internal/bgp"
 	"github.com/dice-project/dice/internal/checker"
-	"github.com/dice-project/dice/internal/cluster"
 	"github.com/dice-project/dice/internal/concolic"
-	"github.com/dice-project/dice/internal/faults"
-	"github.com/dice-project/dice/internal/topology"
 )
-
-// Options configure one exploration round of the legacy Engine API. New code
-// should construct a Campaign with functional options instead.
-type Options struct {
-	// Explorer is the node whose behaviour is explored. Empty selects the
-	// router with the highest degree (most sessions), which maximizes the
-	// observable consequences of its actions.
-	Explorer string
-	// FromPeer is the neighbor whose inputs are explored at the explorer
-	// node. Empty selects the explorer's first neighbor.
-	FromPeer string
-	// MaxInputs bounds the number of explored inputs (clone executions).
-	// Zero selects 64.
-	MaxInputs int
-	// FuzzSeeds is the number of grammar-fuzzed seed messages. Zero selects 8.
-	FuzzSeeds int
-	// UseConcolic enables deriving new inputs by negating the branch
-	// constraints recorded on each clone execution. Disabling it leaves pure
-	// grammar-based fuzzing (the ablation in experiment E5).
-	UseConcolic bool
-	// Seed drives fuzzing and exploration determinism.
-	Seed int64
-	// Properties are the checked properties; nil selects
-	// checker.DefaultProperties for the topology.
-	Properties []checker.Property
-	// ShadowMaxEvents bounds each clone run. Zero selects 20000.
-	ShadowMaxEvents int
-	// CodeFaults are installed on every shadow clone (mirroring the faulty
-	// binary running on the deployed node).
-	CodeFaults []faults.CodeFault
-	// ClusterOptions are used when instantiating shadow clusters from the
-	// snapshot; they should match the options the deployed cluster was built
-	// with.
-	ClusterOptions cluster.Options
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxInputs <= 0 {
-		o.MaxInputs = 64
-	}
-	if o.FuzzSeeds <= 0 {
-		o.FuzzSeeds = 8
-	}
-	if o.ShadowMaxEvents <= 0 {
-		o.ShadowMaxEvents = 20000
-	}
-	return o
-}
 
 // Detection records one property violation found during exploration.
 type Detection struct {
@@ -100,9 +44,8 @@ type Detection struct {
 	Elapsed time.Duration
 }
 
-// Result summarizes one exploration unit (one explorer/peer pair). The
-// legacy Engine API returns a single Result; a Campaign returns one per unit
-// inside its CampaignResult.
+// Result summarizes one exploration unit (one explorer/peer pair); a
+// Campaign returns one per unit inside its CampaignResult.
 type Result struct {
 	Explorer string
 	FromPeer string
@@ -155,87 +98,8 @@ func (r *Result) Detected(class checker.FaultClass) bool {
 	return r.FirstDetection(class) != nil
 }
 
-// Engine drives one DiCE exploration round against a deployed cluster. It is
-// the legacy API, implemented as a shim over a single-unit Campaign; new code
-// should use NewCampaign directly.
-type Engine struct {
-	live *cluster.Cluster
-	topo *topology.Topology
-	opts Options
-}
-
-// New returns an Engine for the deployed cluster.
-func New(live *cluster.Cluster, topo *topology.Topology, opts Options) *Engine {
-	return &Engine{live: live, topo: topo, opts: opts.withDefaults()}
-}
-
-// chooseExplorer picks the router with the most neighbors (equal-degree ties
-// broken by lexicographically smallest name) when none was configured.
-func (e *Engine) chooseExplorer() string {
-	if e.opts.Explorer != "" {
-		return e.opts.Explorer
-	}
-	return highestDegreeNode(e.topo)
-}
-
-// choosePeer keeps the legacy peer default: the explorer's first neighbor in
-// topology link order (strategies sort peers lexicographically instead).
-func (e *Engine) choosePeer(explorer string) (string, error) {
-	if e.opts.FromPeer != "" {
-		return e.opts.FromPeer, nil
-	}
-	neighbors := e.topo.NeighborsOf(explorer)
-	if len(neighbors) == 0 {
-		return "", fmt.Errorf("dice: explorer %s has no neighbors", explorer)
-	}
-	return neighbors[0], nil
-}
-
 // wireUpdate wraps an UPDATE body with the BGP message header.
 func wireUpdate(body []byte) []byte { return bgp.FrameUpdate(body) }
 
-// ErrNoTopology is returned when the engine is constructed without a topology.
-var ErrNoTopology = errors.New("dice: engine requires a topology")
-
-// Run performs one full exploration round (snapshot, explore, check) and
-// returns its result. The deployed cluster is left untouched.
-func (e *Engine) Run() (*Result, error) {
-	if e.topo == nil {
-		return nil, ErrNoTopology
-	}
-	explorer := e.chooseExplorer()
-	fromPeer, err := e.choosePeer(explorer)
-	if err != nil {
-		return nil, err
-	}
-	copts := []CampaignOption{
-		WithUnits(Unit{
-			Explorer:  explorer,
-			FromPeer:  fromPeer,
-			MaxInputs: e.opts.MaxInputs,
-			FuzzSeeds: e.opts.FuzzSeeds,
-			Seed:      e.opts.Seed,
-		}),
-		WithWorkers(1),
-		WithSeed(e.opts.Seed),
-		WithConcolic(e.opts.UseConcolic),
-		WithCodeFaults(e.opts.CodeFaults...),
-		WithClusterOptions(e.opts.ClusterOptions),
-		WithShadowMaxEvents(e.opts.ShadowMaxEvents),
-	}
-	// Preserve the legacy nil-vs-empty distinction: nil selects the default
-	// property set, an explicitly empty slice disables checking.
-	if e.opts.Properties != nil {
-		copts = append(copts, WithProperties(e.opts.Properties...))
-	}
-	campaign := NewCampaign(e.live, e.topo, copts...)
-	cres, err := campaign.Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	res := cres.Units[0]
-	// The legacy Result reports the whole round's wall clock, snapshot
-	// included.
-	res.Duration = cres.Duration
-	return res, nil
-}
+// ErrNoTopology is returned when a campaign is constructed without a topology.
+var ErrNoTopology = errors.New("dice: campaign requires a topology")

@@ -1,6 +1,7 @@
 package dice
 
 import (
+	"context"
 	"testing"
 
 	"github.com/dice-project/dice/internal/bgp"
@@ -25,15 +26,23 @@ func deployedLine(t *testing.T, n int, cfgFaults []faults.ConfigFault, codeFault
 	return topo, c, opts
 }
 
+// runUnit explores one (explorer, peer) unit as a single-worker campaign and
+// returns the unit's result.
+func runUnit(t *testing.T, live *cluster.Cluster, topo *topology.Topology, u Unit, opts ...CampaignOption) *Result {
+	t.Helper()
+	opts = append([]CampaignOption{WithUnits(u), WithWorkers(1), WithSeed(u.Seed)}, opts...)
+	cres, err := NewCampaign(live, topo, opts...).Run(context.Background())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return cres.Units[0]
+}
+
 func TestRunDetectsMisOrigination(t *testing.T) {
 	victim := topology.Line(3).Nodes[0].Prefixes[0]
 	topo, live, copts := deployedLine(t, 3,
 		[]faults.ConfigFault{faults.MisOrigination{Router: "R3", Prefix: victim}}, nil)
-	eng := New(live, topo, Options{Explorer: "R2", MaxInputs: 4, FuzzSeeds: 2, UseConcolic: true, Seed: 1, ClusterOptions: copts})
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := runUnit(t, live, topo, Unit{Explorer: "R2", FromPeer: "R1", MaxInputs: 4, FuzzSeeds: 2, Seed: 1}, WithClusterOptions(copts))
 	if !res.Detected(checker.ClassOperatorMistake) {
 		t.Fatalf("mis-origination not detected; detections=%v", res.Detections)
 	}
@@ -58,20 +67,8 @@ func TestRunDetectsProgrammingErrorViaConcolic(t *testing.T) {
 	bug := faults.CommunityCrash("R2", trigger)
 	topo, live, copts := deployedLine(t, 3, nil, []faults.CodeFault{bug})
 
-	eng := New(live, topo, Options{
-		Explorer:       "R2",
-		FromPeer:       "R1",
-		MaxInputs:      48,
-		FuzzSeeds:      6,
-		UseConcolic:    true,
-		Seed:           7,
-		CodeFaults:     []faults.CodeFault{bug},
-		ClusterOptions: copts,
-	})
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := runUnit(t, live, topo, Unit{Explorer: "R2", FromPeer: "R1", MaxInputs: 48, FuzzSeeds: 6, Seed: 7},
+		WithCodeFaults(bug), WithClusterOptions(copts))
 	if !res.Detected(checker.ClassProgrammingError) {
 		t.Fatalf("programming error not detected in %d inputs; stats=%+v", res.InputsExplored, res.ExplorerStats)
 	}
@@ -88,11 +85,7 @@ func TestRunDetectsHijackThroughMissingFilter(t *testing.T) {
 	if !checker.CheckAll(live, checker.DefaultProperties(topo)).OK() {
 		t.Fatalf("fault should be latent before exploration")
 	}
-	eng := New(live, topo, Options{Explorer: "R2", FromPeer: "R1", MaxInputs: 32, FuzzSeeds: 10, UseConcolic: true, Seed: 3, ClusterOptions: copts})
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := runUnit(t, live, topo, Unit{Explorer: "R2", FromPeer: "R1", MaxInputs: 32, FuzzSeeds: 10, Seed: 3}, WithClusterOptions(copts))
 	if !res.Detected(checker.ClassOperatorMistake) {
 		t.Fatalf("latent missing-filter mistake not detected; detections=%v", res.Detections)
 	}
@@ -100,11 +93,8 @@ func TestRunDetectsHijackThroughMissingFilter(t *testing.T) {
 
 func TestFuzzOnlyModeRuns(t *testing.T) {
 	topo, live, copts := deployedLine(t, 2, nil, nil)
-	eng := New(live, topo, Options{MaxInputs: 6, FuzzSeeds: 3, UseConcolic: false, Seed: 2, ClusterOptions: copts})
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	res := runUnit(t, live, topo, Unit{Explorer: "R1", FromPeer: "R2", MaxInputs: 6, FuzzSeeds: 3, Seed: 2},
+		WithConcolic(false), WithClusterOptions(copts))
 	if res.InputsExplored != 6 {
 		t.Errorf("fuzz-only mode explored %d inputs, want 6", res.InputsExplored)
 	}
@@ -114,15 +104,17 @@ func TestExplorerSelectionDefaults(t *testing.T) {
 	topo := topology.Star(4) // R1 is the hub with 3 neighbors
 	c := cluster.MustBuild(topo, cluster.Options{Seed: 1})
 	c.Converge()
-	eng := New(c, topo, Options{})
-	if got := eng.chooseExplorer(); got != "R1" {
+	units, err := NewCampaign(c, topo).planUnits()
+	if err != nil || len(units) != 1 {
+		t.Fatalf("default plan = %+v, %v; want one unit", units, err)
+	}
+	if got := units[0].Explorer; got != "R1" {
 		t.Errorf("default explorer = %s, want the highest-degree router R1", got)
 	}
-	peer, err := eng.choosePeer("R1")
-	if err != nil || peer == "" {
-		t.Errorf("choosePeer failed: %v %q", err, peer)
+	if units[0].FromPeer == "" {
+		t.Errorf("default plan chose no peer: %+v", units[0])
 	}
-	if _, err := New(c, nil, Options{}).Run(); err == nil {
+	if _, err := NewCampaign(c, nil).Run(context.Background()); err == nil {
 		t.Errorf("Run without topology must fail")
 	}
 }

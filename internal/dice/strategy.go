@@ -91,7 +91,7 @@ func resolveExplorers(topo *topology.Topology, explorers []string) ([]string, er
 // DegreeStrategy explores from the highest-degree router (or each configured
 // explorer), pairing it with up to PeersPerExplorer of its neighbors. It is
 // the campaign default and, with one explorer and one peer, reproduces the
-// classic single-round Engine behaviour.
+// classic single-round behaviour.
 type DegreeStrategy struct {
 	// PeersPerExplorer bounds how many neighbors are explored per explorer.
 	// Zero selects 1 (the classic behaviour); negative selects all neighbors.
@@ -186,8 +186,7 @@ func (AllNodesStrategy) Plan(topo *topology.Topology, explorers []string) ([]Uni
 	return units, nil
 }
 
-// fixedStrategy returns a literal unit list; WithUnits and the Engine
-// compatibility shim use it.
+// fixedStrategy returns a literal unit list; WithUnits uses it.
 type fixedStrategy struct{ units []Unit }
 
 // Name implements Strategy.

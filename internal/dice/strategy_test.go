@@ -24,15 +24,13 @@ func TestHighestDegreeTieBreak(t *testing.T) {
 	if got := highestDegreeNode(topo); got != "R2" {
 		t.Errorf("highestDegreeNode = %s, want lexicographically smallest equal-degree node R2", got)
 	}
-	// The legacy engine default goes through the same fixed code path.
-	eng := New(nil, topo, Options{})
-	if got := eng.chooseExplorer(); got != "R2" {
-		t.Errorf("engine default explorer = %s, want R2", got)
+	// The campaign's default plan goes through the same code path.
+	if units, err := (DegreeStrategy{}).Plan(topo, nil); err != nil || units[0].Explorer != "R2" {
+		t.Errorf("default plan = %+v, %v; want explorer R2", units, err)
 	}
 	// An explicit explorer always wins.
-	eng = New(nil, topo, Options{Explorer: "R4"})
-	if got := eng.chooseExplorer(); got != "R4" {
-		t.Errorf("explicit explorer overridden: got %s", got)
+	if units, err := (DegreeStrategy{}).Plan(topo, []string{"R4"}); err != nil || units[0].Explorer != "R4" {
+		t.Errorf("explicit explorer overridden: %+v, %v", units, err)
 	}
 }
 

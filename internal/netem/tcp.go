@@ -200,12 +200,13 @@ func (r *TCPRunner) Start() error {
 	}
 
 	// Release the lock before running node Start handlers: they call back
-	// into Send/SetTimer, which acquire it.
+	// into Send/SetTimer, which acquire it. Each handler runs on its node's
+	// worker, so it cannot overlap a delivery from a peer started earlier.
 	r.mu.Unlock()
 	for _, id := range ids {
 		node := r.nodes[id]
 		env := &tcpEnv{runner: r, id: id}
-		node.Start(env)
+		r.Inspect(id, func() { node.Start(env) })
 	}
 	r.mu.Lock()
 	return nil

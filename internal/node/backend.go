@@ -34,20 +34,11 @@ type Backend struct {
 	DecodeState func(cp Checkpoint) (State, error)
 	// Restore builds a fresh router from a decoded image and state.
 	Restore func(im Image, st State) (Router, error)
-	// DecodeCheckpoint deserializes one checkpoint from its single-node
-	// legacy gob encoding. Single-node encodings are concrete-typed — unlike
-	// a whole snapshot's interface-valued node map — so crossing a process
-	// boundary node by node needs the backend to name the concrete type to
-	// decode into. Optional; it is only the fallback for artifacts written
-	// before the deterministic codec (EncodeCanonical) existed.
-	DecodeCheckpoint func(data []byte) (Checkpoint, error)
 	// EncodeCanonical serializes a checkpoint into the backend's
 	// deterministic canonical codec payload: identical state always encodes
 	// to identical bytes (sorted map iteration, varint slabs). This is the
 	// byte form content hashes and binary deltas are computed over, framed
 	// by checkpoint.EncodeNode with the codec header and implementation tag.
-	// Optional: backends without it fall back to gob encoding and lose
-	// content addressing.
 	EncodeCanonical func(cp Checkpoint) ([]byte, error)
 	// DecodeCanonical parses a canonical payload produced by EncodeCanonical
 	// back into a checkpoint. Malformed payloads error, never panic.
@@ -73,7 +64,8 @@ func NewRegistry() *Registry { return &Registry{} }
 // backend or re-registering a name panics (two packages claiming one
 // implementation is a programming error, not a runtime condition).
 func (reg *Registry) Register(b Backend) {
-	if b.Name == "" || b.Build == nil || b.ImageOf == nil || b.DecodeState == nil || b.Restore == nil {
+	if b.Name == "" || b.Build == nil || b.ImageOf == nil || b.DecodeState == nil || b.Restore == nil ||
+		b.EncodeCanonical == nil || b.DecodeCanonical == nil {
 		panic("node: incomplete backend registration")
 	}
 	reg.mu.Lock()

@@ -111,6 +111,14 @@ func TestRegisterRejectsIncompleteAndDuplicate(t *testing.T) {
 	}
 	mustPanic("incomplete", node.Backend{Name: "half-baked"})
 	full, _ := node.BackendFor("bird")
+	// A backend without both halves of its canonical codec would need a
+	// second serialization format; it is as incomplete as one that cannot
+	// build a router.
+	noEncode, noDecode := full, full
+	noEncode.Name, noEncode.EncodeCanonical = "no-encode", nil
+	noDecode.Name, noDecode.DecodeCanonical = "no-decode", nil
+	mustPanic("complete but for EncodeCanonical", noEncode)
+	mustPanic("complete but for DecodeCanonical", noDecode)
 	reg.Register(full)
 	mustPanic("duplicate", full)
 }

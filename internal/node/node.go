@@ -83,8 +83,9 @@ type RouteEvent struct {
 // Checkpoint is the serializable per-node half of a consistent snapshot. The
 // concrete type belongs to the backend that produced it; the snapshot layer
 // treats it as opaque data tagged with the node name and the implementation
-// needed to restore it. Backends gob-register their concrete checkpoint
-// type so mixed-implementation snapshots cross process boundaries.
+// needed to restore it. Backends register a canonical encoder and decoder
+// for their concrete checkpoint type, which is how mixed-implementation
+// snapshots cross process boundaries.
 type Checkpoint interface {
 	// NodeName is the checkpointed router's name.
 	NodeName() string

@@ -96,12 +96,12 @@ func runChild(in io.Reader, out io.Writer) {
 }
 
 // handle dispatches one request. A returned error is a request failure
-// (answered with frameErr, the child stays up); protocol-level failures to
-// write frames surface as broken pipes on the next flush.
+// (answered with codec.KindProcErr, the child stays up); protocol-level
+// failures to write frames surface as broken pipes on the next flush.
 func (s *server) handle(typ byte, payload []byte) error {
 	r := codec.NewReader(payload)
 	switch typ {
-	case frameBuild:
+	case codec.KindProcBuild:
 		impl := r.String()
 		cfg := decodeConfig(r)
 		if err := r.Close(); err != nil {
@@ -114,7 +114,7 @@ func (s *server) handle(typ byte, payload []byte) error {
 		s.install(inner)
 		return s.sendDone(nil)
 
-	case frameRestore:
+	case codec.KindProcRestore:
 		blob := r.Blob()
 		if err := r.Close(); err != nil {
 			return err
@@ -134,7 +134,7 @@ func (s *server) handle(typ byte, payload []byte) error {
 		s.install(inner)
 		return s.sendDone(nil)
 
-	case frameReset:
+	case codec.KindProcReset:
 		blob := r.Blob()
 		if err := r.Close(); err != nil {
 			return err
@@ -153,7 +153,7 @@ func (s *server) handle(typ byte, payload []byte) error {
 		s.machine, s.shipped = nil, 0
 		return s.sendDone(nil)
 
-	case frameStart:
+	case codec.KindProcStart:
 		s.now = time.Duration(r.Uvarint())
 		if err := r.Close(); err != nil {
 			return err
@@ -164,7 +164,7 @@ func (s *server) handle(typ byte, payload []byte) error {
 		s.inner.Start(s.env())
 		return s.sendDone(nil)
 
-	case frameDeliver:
+	case codec.KindProcDeliver:
 		s.now = time.Duration(r.Uvarint())
 		from := r.String()
 		msg := r.Blob()
@@ -177,7 +177,7 @@ func (s *server) handle(typ byte, payload []byte) error {
 		s.inner.HandleMessage(s.env(), netem.NodeID(from), msg)
 		return s.sendDone(nil)
 
-	case frameTimer:
+	case codec.KindProcTimer:
 		s.now = time.Duration(r.Uvarint())
 		name := r.String()
 		if err := r.Close(); err != nil {
@@ -189,18 +189,13 @@ func (s *server) handle(typ byte, payload []byte) error {
 		s.inner.HandleTimer(s.env(), name)
 		return s.sendDone(nil)
 
-	case frameArm:
+	case codec.KindProcArm:
 		armed := r.Bool()
 		fromPeer := r.String()
 		maxBranches := int(r.Uvarint())
 		var in *concolic.Input
 		if armed {
-			in = &concolic.Input{Regions: make(map[string][]byte)}
-			n := r.Count()
-			for i := 0; i < n && r.Err() == nil; i++ {
-				name := r.String()
-				in.Regions[name] = r.Blob()
-			}
+			in = &concolic.Input{Regions: codec.BlobMap(r)}
 		}
 		if err := r.Close(); err != nil {
 			return err
@@ -218,7 +213,7 @@ func (s *server) handle(typ byte, payload []byte) error {
 		s.inner.ExploreNextUpdate(s.machine, fromPeer)
 		return s.sendDone(nil)
 
-	case frameHookSet:
+	case codec.KindProcHookSet:
 		install := r.Bool()
 		if err := r.Close(); err != nil {
 			return err
@@ -233,7 +228,7 @@ func (s *server) handle(typ byte, payload []byte) error {
 		}
 		return s.sendDone(nil)
 
-	case frameCheckpoint:
+	case codec.KindProcCheckpoint:
 		if err := r.Close(); err != nil {
 			return err
 		}
@@ -311,13 +306,13 @@ func (s *server) sendDone(blob []byte) error {
 	}
 	encodeTrace(w, t)
 	w.Blob(blob)
-	return writeFrame(s.w, frameDone, w.Bytes())
+	return writeFrame(s.w, codec.KindProcDone, w.Bytes())
 }
 
 func (s *server) sendErr(err error) {
 	w := codec.NewWriter()
 	w.String(err.Error())
-	_ = writeFrame(s.w, frameErr, w.Bytes())
+	_ = writeFrame(s.w, codec.KindProcErr, w.Bytes())
 }
 
 // forwardHook is the UpdateHook installed into the inner router: it ships
@@ -337,14 +332,14 @@ func (s *server) forwardHook(r node.HookContext, from string, u *bgp.Update) err
 		s.shipped = len(s.machine.Path())
 	}
 	encodeTrace(w, t)
-	if err := writeFrame(s.w, frameHook, w.Bytes()); err != nil {
+	if err := writeFrame(s.w, codec.KindProcHook, w.Bytes()); err != nil {
 		os.Exit(1) // parent is gone mid-request; no way to recover
 	}
 	if err := s.w.Flush(); err != nil {
 		os.Exit(1)
 	}
 	typ, payload, err := readFrame(s.r)
-	if err != nil || typ != frameHookReply {
+	if err != nil || typ != codec.KindProcHookReply {
 		os.Exit(1)
 	}
 	rr := codec.NewReader(payload)
@@ -388,20 +383,20 @@ func (e *childEnv) Send(to netem.NodeID, payload []byte) {
 	w := codec.NewWriter()
 	w.String(string(to))
 	w.Blob(payload)
-	e.s.effect(frameEffectSend, w.Bytes())
+	e.s.effect(codec.KindProcEffectSend, w.Bytes())
 }
 
 func (e *childEnv) SetTimer(name string, d time.Duration) {
 	w := codec.NewWriter()
 	w.String(name)
 	w.Uvarint(uint64(d))
-	e.s.effect(frameEffectSetTimer, w.Bytes())
+	e.s.effect(codec.KindProcEffectSetTimer, w.Bytes())
 }
 
 func (e *childEnv) CancelTimer(name string) {
 	w := codec.NewWriter()
 	w.String(name)
-	e.s.effect(frameEffectCancelTimer, w.Bytes())
+	e.s.effect(codec.KindProcEffectCancelTimer, w.Bytes())
 }
 
 // Rand must never be called: the backends are deterministic and draw no
@@ -414,7 +409,7 @@ func (e *childEnv) Rand() *rand.Rand {
 func (e *childEnv) Logf(format string, args ...interface{}) {
 	w := codec.NewWriter()
 	w.String(fmt.Sprintf(format, args...))
-	e.s.effect(frameEffectLog, w.Bytes())
+	e.s.effect(codec.KindProcEffectLog, w.Bytes())
 }
 
 func (s *server) effect(typ byte, payload []byte) {

@@ -3,6 +3,7 @@ package procdriver
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"strings"
@@ -48,8 +49,8 @@ func startChildServer(t *testing.T) *wireClient {
 
 // roundTrip performs one request: it sends the frame and reads until the
 // child answers, collecting effect frames and servicing at most one hook
-// exchange through onHook. It returns the frameDone blob, the effects, and
-// the frameErr message ("" on success).
+// exchange through onHook. It returns the codec.KindProcDone blob, the effects, and
+// the codec.KindProcErr message ("" on success).
 func (c *wireClient) roundTrip(typ byte, payload []byte, onHook func(hook []byte) []byte) ([]byte, []frame, string) {
 	c.t.Helper()
 	if err := writeFrame(c.w, typ, payload); err != nil {
@@ -62,16 +63,16 @@ func (c *wireClient) roundTrip(typ byte, payload []byte, onHook func(hook []byte
 			c.t.Fatalf("read reply to %#02x: %v", typ, err)
 		}
 		switch ftyp {
-		case frameEffectSend, frameEffectSetTimer, frameEffectCancelTimer, frameEffectLog:
+		case codec.KindProcEffectSend, codec.KindProcEffectSetTimer, codec.KindProcEffectCancelTimer, codec.KindProcEffectLog:
 			effects = append(effects, frame{typ: ftyp, payload: fpayload})
-		case frameHook:
+		case codec.KindProcHook:
 			if onHook == nil {
 				c.t.Fatalf("unexpected hook exchange during %#02x", typ)
 			}
-			if err := writeFrame(c.w, frameHookReply, onHook(fpayload)); err != nil {
+			if err := writeFrame(c.w, codec.KindProcHookReply, onHook(fpayload)); err != nil {
 				c.t.Fatalf("write hook reply: %v", err)
 			}
-		case frameDone:
+		case codec.KindProcDone:
 			r := codec.NewReader(fpayload)
 			decodeTrace(r) // trace increment; parity is asserted elsewhere
 			blob := r.Blob()
@@ -79,7 +80,7 @@ func (c *wireClient) roundTrip(typ byte, payload []byte, onHook func(hook []byte
 				c.t.Fatalf("malformed done payload: %v", err)
 			}
 			return blob, effects, ""
-		case frameErr:
+		case codec.KindProcErr:
 			r := codec.NewReader(fpayload)
 			msg := r.String()
 			if err := r.Close(); err != nil {
@@ -110,14 +111,14 @@ func sendEffectDest(t *testing.T, f frame) string {
 func TestChildServerProtocol(t *testing.T) {
 	c := startChildServer(t)
 
-	// Unknown frame types and requests before build are request errors, not
-	// protocol failures: the child answers and stays up.
-	if _, _, msg := c.roundTrip(0x7F, nil, nil); !strings.Contains(msg, "unknown frame") {
+	// Kinds that are not requests and requests before build are request
+	// errors, not protocol failures: the child answers and stays up.
+	if _, _, msg := c.roundTrip(codec.KindProcDone, nil, nil); !strings.Contains(msg, "unknown frame") {
 		t.Fatalf("unknown frame type answered %q", msg)
 	}
 	startPayload := codec.NewWriter()
 	startPayload.Uvarint(0)
-	if _, _, msg := c.roundTrip(frameStart, startPayload.Bytes(), nil); !strings.Contains(msg, "before build") {
+	if _, _, msg := c.roundTrip(codec.KindProcStart, startPayload.Bytes(), nil); !strings.Contains(msg, "before build") {
 		t.Fatalf("start before build answered %q", msg)
 	}
 
@@ -131,19 +132,19 @@ func TestChildServerProtocol(t *testing.T) {
 	w := codec.NewWriter()
 	w.String("bird")
 	encodeConfig(w, cfg)
-	if _, _, msg := c.roundTrip(frameBuild, w.Bytes(), nil); msg != "" {
+	if _, _, msg := c.roundTrip(codec.KindProcBuild, w.Bytes(), nil); msg != "" {
 		t.Fatalf("build failed: %s", msg)
 	}
 
 	// START: the router opens its session — the OPEN must cross back as a
 	// send effect addressed to the neighbor.
-	_, effects, msg := c.roundTrip(frameStart, startPayload.Bytes(), nil)
+	_, effects, msg := c.roundTrip(codec.KindProcStart, startPayload.Bytes(), nil)
 	if msg != "" {
 		t.Fatalf("start failed: %s", msg)
 	}
 	opened := false
 	for _, f := range effects {
-		if f.typ == frameEffectSend && sendEffectDest(t, f) == "R1" {
+		if f.typ == codec.KindProcEffectSend && sendEffectDest(t, f) == "R1" {
 			opened = true
 		}
 	}
@@ -157,7 +158,7 @@ func TestChildServerProtocol(t *testing.T) {
 		w.Uvarint(uint64(5 * time.Millisecond))
 		w.String("R1")
 		w.Blob(wire)
-		return c.roundTrip(frameDeliver, w.Bytes(), onHook)
+		return c.roundTrip(codec.KindProcDeliver, w.Bytes(), onHook)
 	}
 	open := bgp.Encode(&bgp.Open{Version: bgp.Version, AS: 65001, HoldTime: 90, RouterID: 1})
 	if _, effects, msg = deliver(open, nil); msg != "" {
@@ -182,12 +183,12 @@ func TestChildServerProtocol(t *testing.T) {
 	w.Uvarint(1)
 	w.String("update")
 	w.Blob(body)
-	if _, _, msg = c.roundTrip(frameArm, w.Bytes(), nil); msg != "" {
+	if _, _, msg = c.roundTrip(codec.KindProcArm, w.Bytes(), nil); msg != "" {
 		t.Fatalf("arm: %s", msg)
 	}
 	w = codec.NewWriter()
 	w.Bool(true)
-	if _, _, msg = c.roundTrip(frameHookSet, w.Bytes(), nil); msg != "" {
+	if _, _, msg = c.roundTrip(codec.KindProcHookSet, w.Bytes(), nil); msg != "" {
 		t.Fatalf("hook set: %s", msg)
 	}
 
@@ -225,7 +226,7 @@ func TestChildServerProtocol(t *testing.T) {
 	}
 
 	// CHECKPOINT: the crash verdict must be visible in the canonical state.
-	blob, _, msg := c.roundTrip(frameCheckpoint, nil, nil)
+	blob, _, msg := c.roundTrip(codec.KindProcCheckpoint, nil, nil)
 	if msg != "" {
 		t.Fatalf("checkpoint: %s", msg)
 	}
@@ -242,11 +243,11 @@ func TestChildServerProtocol(t *testing.T) {
 	w = codec.NewWriter()
 	w.Blob(blob)
 	for i := 0; i < 2; i++ { // second reset hits the decoded-forms cache
-		if _, _, msg = c.roundTrip(frameReset, w.Bytes(), nil); msg != "" {
+		if _, _, msg = c.roundTrip(codec.KindProcReset, w.Bytes(), nil); msg != "" {
 			t.Fatalf("reset %d: %s", i, msg)
 		}
 	}
-	again, _, msg := c.roundTrip(frameCheckpoint, nil, nil)
+	again, _, msg := c.roundTrip(codec.KindProcCheckpoint, nil, nil)
 	if msg != "" {
 		t.Fatalf("checkpoint after reset: %s", msg)
 	}
@@ -259,13 +260,13 @@ func TestChildServerProtocol(t *testing.T) {
 	w.Bool(false)
 	w.String("R1")
 	w.Uvarint(0)
-	if _, _, msg = c.roundTrip(frameArm, w.Bytes(), nil); msg != "" {
+	if _, _, msg = c.roundTrip(codec.KindProcArm, w.Bytes(), nil); msg != "" {
 		t.Fatalf("disarm: %s", msg)
 	}
 	w = codec.NewWriter()
 	w.Uvarint(uint64(30 * time.Second))
 	w.String("keepalive/R1")
-	if _, _, msg = c.roundTrip(frameTimer, w.Bytes(), nil); msg != "" {
+	if _, _, msg = c.roundTrip(codec.KindProcTimer, w.Bytes(), nil); msg != "" {
 		t.Fatalf("timer: %s", msg)
 	}
 }
@@ -282,10 +283,10 @@ func TestChildServerRestore(t *testing.T) {
 	w := codec.NewWriter()
 	w.String("obgpd")
 	encodeConfig(w, cfg)
-	if _, _, msg := first.roundTrip(frameBuild, w.Bytes(), nil); msg != "" {
+	if _, _, msg := first.roundTrip(codec.KindProcBuild, w.Bytes(), nil); msg != "" {
 		t.Fatalf("build: %s", msg)
 	}
-	blob, _, msg := first.roundTrip(frameCheckpoint, nil, nil)
+	blob, _, msg := first.roundTrip(codec.KindProcCheckpoint, nil, nil)
 	if msg != "" {
 		t.Fatalf("checkpoint: %s", msg)
 	}
@@ -293,10 +294,10 @@ func TestChildServerRestore(t *testing.T) {
 	second := startChildServer(t)
 	w = codec.NewWriter()
 	w.Blob(blob)
-	if _, _, msg := second.roundTrip(frameRestore, w.Bytes(), nil); msg != "" {
+	if _, _, msg := second.roundTrip(codec.KindProcRestore, w.Bytes(), nil); msg != "" {
 		t.Fatalf("restore: %s", msg)
 	}
-	restored, _, msg := second.roundTrip(frameCheckpoint, nil, nil)
+	restored, _, msg := second.roundTrip(codec.KindProcCheckpoint, nil, nil)
 	if msg != "" {
 		t.Fatalf("checkpoint after restore: %s", msg)
 	}
@@ -307,10 +308,10 @@ func TestChildServerRestore(t *testing.T) {
 	// A corrupt restore blob is a request error, not a death sentence.
 	w = codec.NewWriter()
 	w.Blob([]byte("garbage"))
-	if _, _, msg := second.roundTrip(frameRestore, w.Bytes(), nil); msg == "" {
+	if _, _, msg := second.roundTrip(codec.KindProcRestore, w.Bytes(), nil); msg == "" {
 		t.Fatal("garbage restore blob accepted")
 	}
-	if restored, _, msg = second.roundTrip(frameCheckpoint, nil, nil); msg != "" || !bytes.Equal(restored, blob) {
+	if restored, _, msg = second.roundTrip(codec.KindProcCheckpoint, nil, nil); msg != "" || !bytes.Equal(restored, blob) {
 		t.Fatalf("child unusable after rejected restore: %q", msg)
 	}
 }
@@ -352,7 +353,7 @@ func TestApplyEffectRoundTrip(t *testing.T) {
 	r := bytes.NewReader(buf.Bytes())
 	for {
 		typ, payload, err := readFrame(r)
-		if err == io.EOF {
+		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
@@ -379,7 +380,7 @@ func TestApplyEffectRoundTrip(t *testing.T) {
 	w := codec.NewWriter()
 	w.String("R9")
 	w.Blob(nil)
-	if err := applyEffect(nil, frameEffectSend, w.Bytes()); err == nil {
+	if err := applyEffect(nil, codec.KindProcEffectSend, w.Bytes()); err == nil {
 		t.Error("effect with no env accepted")
 	}
 }

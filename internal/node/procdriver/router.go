@@ -3,7 +3,6 @@ package procdriver
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -36,7 +35,7 @@ type proxy struct {
 	err     error // first fatal failure; the proxy is dead once set
 }
 
-// reply is a parsed frameDone.
+// reply is a parsed codec.KindProcDone.
 type reply struct {
 	blob []byte
 }
@@ -63,7 +62,7 @@ func buildProxy(innerImpl string, cfg *node.Config) (node.Router, error) {
 	encodeConfig(w, cfg)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, err := p.call(nil, frameBuild, w.Bytes()); err != nil {
+	if _, err := p.call(nil, codec.KindProcBuild, w.Bytes()); err != nil {
 		c.kill()
 		return nil, fmt.Errorf("procdriver: %s: child build: %w", cfg.Name, err)
 	}
@@ -91,7 +90,7 @@ func restoreProxy(innerImpl string, im *Image, st *State) (node.Router, error) {
 	w.Blob(st.data)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, err := p.call(nil, frameRestore, w.Bytes()); err != nil {
+	if _, err := p.call(nil, codec.KindProcRestore, w.Bytes()); err != nil {
 		c.kill()
 		return nil, fmt.Errorf("procdriver: %s: child restore: %w", im.name, err)
 	}
@@ -110,9 +109,9 @@ func (p *proxy) fail(err error) error {
 
 // call performs one request/reply exchange, applying effect frames to env
 // and running hook callbacks as they arrive. A returned error is fatal
-// (subprocess dead or protocol broken) except when it came from a frameErr,
-// which is a request-level failure of a still-healthy child. Callers hold
-// p.mu.
+// (subprocess dead or protocol broken) except when it came from a
+// codec.KindProcErr, which is a request-level failure of a still-healthy
+// child. Callers hold p.mu.
 func (p *proxy) call(env netem.Env, typ byte, payload []byte) (*reply, error) {
 	if p.err != nil {
 		return nil, p.err
@@ -129,15 +128,15 @@ func (p *proxy) call(env netem.Env, typ byte, payload []byte) (*reply, error) {
 				return nil, p.fail(fmt.Errorf("procdriver: %s: subprocess died mid-request%s", p.name, p.stderrTail()))
 			}
 			switch f.typ {
-			case frameEffectSend, frameEffectSetTimer, frameEffectCancelTimer, frameEffectLog:
+			case codec.KindProcEffectSend, codec.KindProcEffectSetTimer, codec.KindProcEffectCancelTimer, codec.KindProcEffectLog:
 				if err := applyEffect(env, f.typ, f.payload); err != nil {
 					return nil, p.fail(fmt.Errorf("procdriver: %s: %w", p.name, err))
 				}
-			case frameHook:
+			case codec.KindProcHook:
 				if err := p.handleHook(f.payload); err != nil {
 					return nil, p.fail(fmt.Errorf("procdriver: %s: hook exchange: %w", p.name, err))
 				}
-			case frameDone:
+			case codec.KindProcDone:
 				r := codec.NewReader(f.payload)
 				t := decodeTrace(r)
 				blob := r.Blob()
@@ -146,7 +145,7 @@ func (p *proxy) call(env netem.Env, typ byte, payload []byte) (*reply, error) {
 				}
 				p.machine.ImportTrace(t)
 				return &reply{blob: blob}, nil
-			case frameErr:
+			case codec.KindProcErr:
 				r := codec.NewReader(f.payload)
 				msg := r.String()
 				if err := r.Close(); err != nil {
@@ -187,27 +186,27 @@ func applyEffect(env netem.Env, typ byte, payload []byte) error {
 	}
 	r := codec.NewReader(payload)
 	switch typ {
-	case frameEffectSend:
+	case codec.KindProcEffectSend:
 		to := r.String()
 		msg := r.Blob()
 		if err := r.Close(); err != nil {
 			return err
 		}
 		env.Send(netem.NodeID(to), msg)
-	case frameEffectSetTimer:
+	case codec.KindProcEffectSetTimer:
 		name := r.String()
 		d := r.Uvarint()
 		if err := r.Close(); err != nil {
 			return err
 		}
 		env.SetTimer(name, time.Duration(d))
-	case frameEffectCancelTimer:
+	case codec.KindProcEffectCancelTimer:
 		name := r.String()
 		if err := r.Close(); err != nil {
 			return err
 		}
 		env.CancelTimer(name)
-	case frameEffectLog:
+	case codec.KindProcEffectLog:
 		line := r.String()
 		if err := r.Close(); err != nil {
 			return err
@@ -260,7 +259,7 @@ func (p *proxy) handleHook(payload []byte) error {
 	w.Blob(u.EncodeBody())
 	w.Bool(crashed)
 	w.String(crashMsg)
-	return p.child.in.writeFrame(frameHookReply, w.Bytes())
+	return p.child.in.writeFrame(codec.KindProcHookReply, w.Bytes())
 }
 
 //
@@ -278,7 +277,7 @@ func (p *proxy) Start(env netem.Env) {
 	w := codec.NewWriter()
 	w.Uvarint(uint64(env.Now()))
 	p.dirty = true
-	p.callFatal(env, frameStart, w.Bytes())
+	p.callFatal(env, codec.KindProcStart, w.Bytes())
 }
 
 func (p *proxy) HandleMessage(env netem.Env, from netem.NodeID, payload []byte) {
@@ -292,7 +291,7 @@ func (p *proxy) HandleMessage(env netem.Env, from netem.NodeID, payload []byte) 
 	w.String(string(from))
 	w.Blob(payload)
 	p.dirty = true
-	p.callFatal(env, frameDeliver, w.Bytes())
+	p.callFatal(env, codec.KindProcDeliver, w.Bytes())
 }
 
 func (p *proxy) HandleTimer(env netem.Env, name string) {
@@ -305,7 +304,7 @@ func (p *proxy) HandleTimer(env netem.Env, name string) {
 	w.Uvarint(uint64(env.Now()))
 	w.String(name)
 	p.dirty = true
-	p.callFatal(env, frameTimer, w.Bytes())
+	p.callFatal(env, codec.KindProcTimer, w.Bytes())
 }
 
 //
@@ -325,7 +324,7 @@ func (p *proxy) Config() *node.Config {
 // backend and applied with the same ResetTo the clone pool trusts.
 func (p *proxy) refreshedLocked() node.Router {
 	if p.err == nil && p.dirty {
-		rep, err := p.call(nil, frameCheckpoint, nil)
+		rep, err := p.call(nil, codec.KindProcCheckpoint, nil)
 		if err != nil {
 			p.fail(fmt.Errorf("procdriver: %s: checkpoint: %w", p.name, err))
 			return p.mirror
@@ -410,7 +409,7 @@ func (p *proxy) ResetTo(im node.Image, st node.State) error {
 	}
 	w := codec.NewWriter()
 	w.Blob(pst.data)
-	if _, err := p.call(nil, frameReset, w.Bytes()); err != nil {
+	if _, err := p.call(nil, codec.KindProcReset, w.Bytes()); err != nil {
 		return err
 	}
 	// The child's ResetTo cleared its hook and armed machine; match it.
@@ -434,19 +433,9 @@ func (p *proxy) ExploreNextUpdate(m *concolic.Machine, fromPeer string) {
 	w.String(fromPeer)
 	w.Uvarint(uint64(m.MaxBranches()))
 	if m != nil {
-		in := m.Input()
-		names := make([]string, 0, len(in.Regions))
-		for name := range in.Regions {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		w.Uvarint(uint64(len(names)))
-		for _, name := range names {
-			w.String(name)
-			w.Blob(in.Regions[name])
-		}
+		codec.PutBlobMap(w, m.Input().Regions)
 	}
-	p.callFatal(nil, frameArm, w.Bytes())
+	p.callFatal(nil, codec.KindProcArm, w.Bytes())
 }
 
 func (p *proxy) SetUpdateHook(h node.UpdateHook) {
@@ -458,7 +447,7 @@ func (p *proxy) SetUpdateHook(h node.UpdateHook) {
 	p.hook = h
 	w := codec.NewWriter()
 	w.Bool(h != nil)
-	p.callFatal(nil, frameHookSet, w.Bytes())
+	p.callFatal(nil, codec.KindProcHookSet, w.Bytes())
 }
 
 // ActiveMachine reports nil: the proxy is never observed mid-handling from

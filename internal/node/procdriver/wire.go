@@ -19,8 +19,6 @@
 package procdriver
 
 import (
-	"encoding/binary"
-	"fmt"
 	"io"
 	"sort"
 	"time"
@@ -33,77 +31,21 @@ import (
 	"github.com/dice-project/dice/internal/node"
 )
 
-// Frame types. Parent→child frames are requests; each is answered by exactly
-// one frameDone or frameErr, possibly preceded by effect and hook frames.
-const (
-	// Requests (parent → child).
-	frameBuild      byte = 0x01 // config → construct the inner router
-	frameRestore    byte = 0x02 // EncodeNode blob → restore the inner router
-	frameReset      byte = 0x03 // EncodeNode blob → in-place ResetTo
-	frameStart      byte = 0x04 // now → inner.Start
-	frameDeliver    byte = 0x05 // now, from, payload → inner.HandleMessage
-	frameTimer      byte = 0x06 // now, name → inner.HandleTimer
-	frameArm        byte = 0x07 // fromPeer, maxBranches, input regions → ExploreNextUpdate
-	frameHookSet    byte = 0x08 // bool → install/remove the forwarding hook
-	frameCheckpoint byte = 0x09 // → TakeCheckpoint, reply carries EncodeNode blob
-	frameHookReply  byte = 0x0a // parent's answer to frameHook
-
-	// Replies and mid-request traffic (child → parent).
-	frameEffectSend        byte = 0x20 // to, payload
-	frameEffectSetTimer    byte = 0x21 // name, duration
-	frameEffectCancelTimer byte = 0x22 // name
-	frameEffectLog         byte = 0x23 // rendered line
-	frameHook              byte = 0x24 // update hook callback: runs parent-side
-	frameDone              byte = 0x25 // request complete (optional trace, blob)
-	frameErr               byte = 0x26 // request failed
-)
-
-// maxFrameLen bounds one frame. Checkpoints of large RIBs dominate frame
-// sizes; 1<<28 is far above any real node state while still refusing a
-// corrupt length prefix before it sizes an allocation.
-const maxFrameLen = 1 << 28
-
 // maxExprDepth bounds expression nesting on decode. Parsed UPDATE
 // constraints are a few levels deep; the bound only exists so corrupt input
 // cannot drive unbounded recursion.
 const maxExprDepth = 1024
 
-// writeFrame emits one length-prefixed frame: u32 little-endian length over
-// the type byte plus payload.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+// writeFrame emits one pipe frame.
+func writeFrame(w io.Writer, kind byte, payload []byte) error {
+	_, err := codec.WriteFrame(w, kind, payload)
+	return err
 }
 
-// readFrame reads one frame. io.EOF is returned verbatim when the stream
+// readFrame reads one pipe frame. The error wraps io.EOF when the stream
 // ends cleanly between frames (how a child notices the parent is gone).
 func readFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
-		}
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrameLen {
-		return 0, nil, fmt.Errorf("procdriver: frame length %d out of range", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, fmt.Errorf("procdriver: truncated frame: %w", err)
-	}
-	return body[0], body[1:], nil
+	return codec.ReadFrame(r, codec.Proc)
 }
 
 //
@@ -264,16 +206,7 @@ func encodeTrace(w *codec.Writer, t *concolic.Trace) {
 		w.String(ref.Region)
 		w.Uvarint(uint64(ref.Index))
 	}
-	names = names[:0]
-	for name := range t.Regions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	w.Uvarint(uint64(len(names)))
-	for _, name := range names {
-		w.String(name)
-		w.Blob(t.Regions[name])
-	}
+	codec.PutBlobMap(w, t.Regions)
 	w.Bool(t.Truncated)
 }
 
@@ -284,7 +217,6 @@ func decodeTrace(r *codec.Reader) *concolic.Trace {
 	t := &concolic.Trace{
 		Assignment: make(expr.Assignment),
 		Vars:       make(map[string]concolic.VarRef),
-		Regions:    make(map[string][]byte),
 	}
 	n := r.Count()
 	for i := 0; i < n && r.Err() == nil; i++ {
@@ -300,11 +232,7 @@ func decodeTrace(r *codec.Reader) *concolic.Trace {
 		name := r.String()
 		t.Vars[name] = concolic.VarRef{Region: r.String(), Index: int(r.Uvarint())}
 	}
-	n = r.Count()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		name := r.String()
-		t.Regions[name] = r.Blob()
-	}
+	t.Regions = codec.BlobMap(r)
 	t.Truncated = r.Bool()
 	return t
 }

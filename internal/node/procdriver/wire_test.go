@@ -2,7 +2,6 @@ package procdriver
 
 import (
 	"bytes"
-	"encoding/binary"
 	"reflect"
 	"testing"
 	"time"
@@ -17,35 +16,43 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameDeliver, []byte("payload")); err != nil {
+	if err := writeFrame(&buf, codec.KindProcDeliver, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(&buf, frameDone, nil); err != nil {
+	if err := writeFrame(&buf, codec.KindProcDone, nil); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := readFrame(&buf)
-	if err != nil || typ != frameDeliver || string(payload) != "payload" {
+	if err != nil || typ != codec.KindProcDeliver || string(payload) != "payload" {
 		t.Fatalf("readFrame = %#02x %q %v", typ, payload, err)
 	}
 	typ, payload, err = readFrame(&buf)
-	if err != nil || typ != frameDone || len(payload) != 0 {
+	if err != nil || typ != codec.KindProcDone || len(payload) != 0 {
 		t.Fatalf("empty-payload frame = %#02x %q %v", typ, payload, err)
 	}
 }
 
 func TestReadFrameRejectsCorruptLength(t *testing.T) {
-	for _, n := range []uint32{0, maxFrameLen + 1} {
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], n)
-		if _, _, err := readFrame(bytes.NewReader(hdr[:])); err == nil {
-			t.Errorf("length %d accepted", n)
-		}
+	var buf bytes.Buffer
+	_ = writeFrame(&buf, codec.KindProcDone, []byte("full payload"))
+	frame := buf.Bytes()
+	// A length past the kind's bound is refused at the header.
+	huge := append([]byte(nil), frame...)
+	copy(huge[codec.HeaderLen:], []byte{0xff, 0xff, 0xff, 0xff})
+	if _, _, err := readFrame(bytes.NewReader(huge)); err == nil {
+		t.Errorf("oversized length accepted")
 	}
 	// A truncated body is an error, not a short read.
-	var buf bytes.Buffer
-	_ = writeFrame(&buf, frameDone, []byte("full payload"))
-	if _, _, err := readFrame(bytes.NewReader(buf.Bytes()[:8])); err == nil {
+	if _, _, err := readFrame(bytes.NewReader(frame[:codec.FrameHeaderLen+3])); err == nil {
 		t.Errorf("truncated frame accepted")
+	}
+	// A control-plane frame does not belong on the pipe.
+	buf.Reset()
+	if _, err := codec.WriteFrame(&buf, codec.KindHeartbeat, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readFrame(&buf); err == nil {
+		t.Errorf("control frame accepted on the procdriver pipe")
 	}
 }
 

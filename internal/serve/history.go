@@ -195,8 +195,8 @@ func (h *History) Encode() []byte {
 }
 
 // ErrNotHistory reports data that does not open with the codec magic — a
-// legacy or foreign file the daemon must refuse rather than misparse (the
-// same sniff that routes legacy gob snapshots away from the codec decoder).
+// legacy or foreign file the daemon must refuse rather than misparse, and
+// tell apart from one of its own artifacts gone corrupt.
 var ErrNotHistory = errors.New("serve: not a codec soak-history artifact")
 
 // DecodeHistory parses a KindHistory artifact.

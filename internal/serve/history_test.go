@@ -2,12 +2,13 @@ package serve
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"reflect"
 	"testing"
 	"time"
 
+	"github.com/dice-project/dice/internal/checkpoint/codec"
+	"github.com/dice-project/dice/internal/checkpoint/codec/codectest"
 	"github.com/dice-project/dice/internal/live"
 )
 
@@ -79,12 +80,10 @@ func TestHistoryEncodeDeterministic(t *testing.T) {
 // TestDecodeHistoryRejectsLegacy covers the sniff: gob streams and arbitrary
 // bytes are refused with ErrNotHistory rather than misparsed.
 func TestDecodeHistoryRejectsLegacy(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(map[string]int{"soaks": 3}); err != nil {
-		t.Fatal(err)
-	}
 	for name, data := range map[string][]byte{
-		"gob":     buf.Bytes(),
+		// gob.Encode(map[string]int{"soaks": 3}), as the pre-codec releases
+		// would have written it.
+		"gob":     []byte("\r\x7f\x04\x01\x02\xff\x80\x00\x01\f\x01\x04\x00\x00\v\xff\x80\x00\x01\x05soaks\x06"),
 		"empty":   nil,
 		"text":    []byte("soak history v0\n"),
 		"short":   {0xD1},
@@ -94,6 +93,27 @@ func TestDecodeHistoryRejectsLegacy(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrNotHistory", name, err)
 		}
 	}
+}
+
+// FuzzHistoryDecode holds the soak-history decoder to the one decode property
+// every codec surface shares (codectest.FixedPoint): a history file is read
+// back after a kill, possibly torn, so whatever is on disk is outside input.
+func FuzzHistoryDecode(f *testing.F) {
+	good := sampleHistory().Encode()
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(append(append([]byte(nil), good...), 0xFF))
+	f.Add((&History{}).Encode())
+	f.Add([]byte{})
+	for i := 0; i < codec.HeaderLen; i++ {
+		flipped := append([]byte(nil), good...)
+		flipped[i] ^= 0x41
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		codectest.FixedPoint(t, data, 0, DecodeHistory,
+			func(h *History) ([]byte, error) { return h.Encode(), nil })
+	})
 }
 
 // TestDecodeHistoryRejectsCorrupt covers truncation, trailing garbage and

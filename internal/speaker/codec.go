@@ -1,8 +1,6 @@
 package speaker
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -132,20 +130,4 @@ func (d *Dialect) decodeCanonical(payload []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%s: decode canonical checkpoint: %w", d.Name, err)
 	}
 	return cp, nil
-}
-
-// The legacy gob surface: checkpoints written before the canonical codec
-// existed decode through gob, whole snapshots by the registered concrete
-// type and single nodes through decodeGob.
-func init() { gob.Register(&Checkpoint{}) }
-
-func (d *Dialect) decodeGob(data []byte) (*Checkpoint, error) {
-	var cp Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("%s: decode checkpoint: %w", d.Name, err)
-	}
-	if cp.Impl != d.Name {
-		return nil, fmt.Errorf("%s: decode checkpoint: encoding is a %q checkpoint", d.Name, cp.Impl)
-	}
-	return &cp, nil
 }

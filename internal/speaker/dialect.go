@@ -89,9 +89,6 @@ func (d *Dialect) Backend() node.Backend {
 			}
 			return im.Restore(st)
 		},
-		DecodeCheckpoint: func(data []byte) (node.Checkpoint, error) {
-			return d.decodeGob(data)
-		},
 		EncodeCanonical: func(cp node.Checkpoint) ([]byte, error) {
 			own, err := d.own(cp)
 			if err != nil {

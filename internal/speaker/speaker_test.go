@@ -1,8 +1,6 @@
 package speaker_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"slices"
@@ -651,30 +649,4 @@ func TestSessionStateCodes(t *testing.T) {
 			t.Errorf("empty state name for %d", s)
 		}
 	}
-}
-
-// TestLegacyGobDecode keeps the pre-codec surface reachable: a single-node
-// gob encoding decodes through the backend that wrote it and no other.
-func TestLegacyGobDecode(t *testing.T) {
-	forEachDialect(t, func(t *testing.T, d *speaker.Dialect) {
-		cp := convergedCheckpoint(t, d)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
-			t.Fatal(err)
-		}
-		got, err := d.Backend().DecodeCheckpoint(buf.Bytes())
-		if err != nil {
-			t.Fatalf("DecodeCheckpoint: %v", err)
-		}
-		if canonical(t, d, got) != canonical(t, d, cp) {
-			t.Errorf("gob round trip changed the checkpoint")
-		}
-		other := dialects[(slices.Index(dialects, d)+1)%len(dialects)]
-		if _, err := other.Backend().DecodeCheckpoint(buf.Bytes()); err == nil {
-			t.Errorf("%s backend decoded a %s gob checkpoint", other.Name, d.Name)
-		}
-		if _, err := d.Backend().DecodeCheckpoint([]byte("not gob")); err == nil {
-			t.Errorf("garbage accepted")
-		}
-	})
 }
