@@ -359,6 +359,10 @@ func TestRunE12Quick(t *testing.T) {
 	if res.TraceStepsAfter > res.TraceStepsBefore {
 		t.Errorf("minimization grew traces: %d -> %d", res.TraceStepsBefore, res.TraceStepsAfter)
 	}
+	if res.MinimizeDisagreements != 0 || res.MinimizeColdReplays == 0 || res.MinimizeColdReplays >= res.MinimizeReplays {
+		t.Errorf("minimizer: %d replays, %d cold, %d disagreements; want pooled probes, cold confirmations, no disagreement",
+			res.MinimizeReplays, res.MinimizeColdReplays, res.MinimizeDisagreements)
+	}
 	if res.CampaignsDeduped == 0 || res.InputsSaved == 0 {
 		t.Errorf("idle epochs not deduped: %+v", res)
 	}

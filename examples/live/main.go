@@ -89,6 +89,8 @@ func main() {
 		stats.Campaigns, stats.InputsExplored, stats.CampaignsDeduped, stats.InputsSaved)
 	fmt.Printf("findings: %d (first in epoch %d); traces minimized %d -> %d steps\n",
 		report.Len(), stats.FirstDetectionEpoch, stats.TraceStepsBefore, stats.TraceStepsAfter)
+	fmt.Printf("minimizer: %d replays (%d pooled probes + %d cold confirmations), %d disagreements\n",
+		stats.MinimizeReplays, stats.MinimizeReplays-stats.MinimizeColdReplays, stats.MinimizeColdReplays, stats.MinimizeDisagreements)
 
 	// The assertions CI relies on.
 	if !report.Detected(dice.OperatorMistake) {
@@ -106,6 +108,9 @@ func main() {
 	}
 	if !minimizedSteady {
 		log.Fatal("FAIL: no operator-mistake finding was minimized and re-verified against a cold clone")
+	}
+	if stats.MinimizeDisagreements != 0 {
+		log.Fatalf("FAIL: %d cold confirmations contradicted the pooled trace search", stats.MinimizeDisagreements)
 	}
 	if stats.CampaignsDeduped == 0 || stats.InputsSaved == 0 {
 		log.Fatal("FAIL: idle epochs were re-explored; cross-epoch dedupe saved nothing")

@@ -1359,6 +1359,12 @@ type E12Result struct {
 	TraceStepsBefore    int
 	TraceStepsAfter     int
 	DetectedClasses     map[string]bool
+
+	// Minimizer replays executed (pooled search probes + cold confirmations),
+	// their cold subset, and cold-vs-pooled disagreements (must be zero).
+	MinimizeReplays       int
+	MinimizeColdReplays   int
+	MinimizeDisagreements int
 }
 
 // RunE12 runs the bounded live soak on the demo deployment.
@@ -1437,6 +1443,9 @@ func RunE12(cfg ExperimentConfig) (*E12Result, error) {
 		TraceStepsBefore:      stats.TraceStepsBefore,
 		TraceStepsAfter:       stats.TraceStepsAfter,
 		DetectedClasses:       map[string]bool{},
+		MinimizeReplays:       stats.MinimizeReplays,
+		MinimizeColdReplays:   stats.MinimizeColdReplays,
+		MinimizeDisagreements: stats.MinimizeDisagreements,
 	}
 	if stats.Epochs > 0 {
 		out.SnapshotBytesPerEpoch = stats.SnapshotBytesTotal / stats.Epochs
@@ -1464,6 +1473,8 @@ func (r *E12Result) String() string {
 	fmt.Fprintf(&b, "  findings                  %d (first in epoch %d, all traces re-verified: %v)\n",
 		r.Findings, r.FirstDetectionEpoch, r.AllReverified)
 	fmt.Fprintf(&b, "  trace minimization        %d steps -> %d steps across findings\n", r.TraceStepsBefore, r.TraceStepsAfter)
+	fmt.Fprintf(&b, "  minimizer replays         %d (%d pooled probes + %d cold confirmations, %d disagreements)\n",
+		r.MinimizeReplays, r.MinimizeReplays-r.MinimizeColdReplays, r.MinimizeColdReplays, r.MinimizeDisagreements)
 	classes := make([]string, 0, len(r.DetectedClasses))
 	for class := range r.DetectedClasses {
 		classes = append(classes, class)

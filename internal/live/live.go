@@ -33,6 +33,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -156,8 +157,10 @@ type Options struct {
 	// ShadowMaxEvents bounds each clone run (20000 when unset).
 	ShadowMaxEvents int
 
-	// MinimizeReplays is the per-finding replay budget of the greedy trace
-	// minimizer (64 when unset); negative disables minimization.
+	// MinimizeReplays is the greedy trace minimizer's search budget per group
+	// of co-detected findings: pooled probes only (64 when unset). The cold
+	// confirmations that set Reverified are outside it and always run;
+	// negative disables minimization.
 	MinimizeReplays int
 	// Cache is the cross-epoch path-dedupe cache; nil builds a fresh one.
 	// Pass a loaded cache to resume a previous soak's dedupe state. Entries
@@ -284,12 +287,23 @@ type Stats struct {
 	// exploration got to them (Overlap mode backpressure).
 	EpochsSuperseded int
 
-	// Findings and minimization.
-	Findings           int
-	FindingsReverified int
-	TraceStepsBefore   int
-	TraceStepsAfter    int
-	MinimizeReplays    int
+	// CampaignErrors counts campaigns that failed outright (their time is
+	// still charged to ExploreTime), ReplayErrors minimizer replays whose
+	// clone could not be leased or built.
+	CampaignErrors int
+	ReplayErrors   int
+
+	// Findings and minimization. MinimizeReplays counts replays executed
+	// (pooled probes + cold confirmations, memo hits excluded),
+	// MinimizeColdReplays its cold subset, MinimizeDisagreements groups whose
+	// cold confirmation contradicted the pooled search (original trace kept).
+	Findings              int
+	FindingsReverified    int
+	TraceStepsBefore      int
+	TraceStepsAfter       int
+	MinimizeReplays       int
+	MinimizeColdReplays   int
+	MinimizeDisagreements int
 	// FirstDetectionEpoch is the epoch of the first finding (0: none yet).
 	FirstDetectionEpoch int
 }
@@ -410,6 +424,8 @@ type Runtime struct {
 	// configDigest folds every option that shapes what a campaign explores
 	// into the dedupe-cache key (see cacheKey).
 	configDigest uint64
+	// testProbe lets a test make the pooled search lie (see probe).
+	testProbe func(steps []TraceStep, keys map[string]bool) map[string]bool
 }
 
 // exploreConfigDigest hashes the options that determine a campaign's
@@ -728,19 +744,20 @@ func seedFor(fingerprint uint64, scenario string) int64 {
 
 // explore runs the epoch's scenario campaigns.
 func (rt *Runtime) explore(ctx context.Context, ep *checkpoint.Epoch) {
-	// All of an epoch's scenario campaigns explore the same immutable store,
-	// so they share one clone pool: the cold clone builds are paid once per
-	// worker per epoch, not once per worker per scenario. Built lazily — a
-	// fully deduped epoch never builds clones at all.
-	var pool *cluster.ClonePool
+	// All of an epoch's scenario campaigns and minimizer probes explore the
+	// same immutable store, so they share one clone pool: the cold clone
+	// builds are paid once per worker per epoch, not once per worker per
+	// scenario. Clones are built on first lease — a fully deduped epoch never
+	// builds any.
+	ex := rt.replaysOf(ep)
+	rt.mu.Lock()
+	rt.activePool = ex.pool
+	rt.mu.Unlock()
 	// Retire the epoch's pool into the soak-wide accumulator on every exit
 	// path, so PoolStats never loses an epoch (or double-counts one).
 	defer func() {
-		if pool == nil {
-			return
-		}
 		rt.mu.Lock()
-		rt.poolStats = rt.poolStats.Add(pool.Stats())
+		rt.poolStats = rt.poolStats.Add(ex.pool.Stats())
 		rt.activePool = nil
 		rt.mu.Unlock()
 	}()
@@ -760,21 +777,18 @@ func (rt *Runtime) explore(ctx context.Context, ep *checkpoint.Epoch) {
 				ep.Seq, sc.Name(), hit.Inputs, hit.Paths)
 			continue
 		}
-		if pool == nil {
-			pool = cluster.NewClonePool(rt.topo, ep.Store, rt.opts.ClusterOptions)
-			rt.mu.Lock()
-			rt.activePool = pool
-			rt.mu.Unlock()
-		}
 
 		prelude := recordPrelude(sc)
 		exStart := time.Now()
-		res, err := rt.runCampaign(ctx, ep, sc, prelude, pool)
+		res, err := rt.runCampaign(ctx, ep, sc, prelude, ex.pool)
 		exTime := time.Since(exStart)
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
+		// A cancelled campaign still returns what it detected; that partial
+		// result is published below, not dropped. Anything else failed.
+		if err != nil && (ctx.Err() == nil || res == nil) {
+			rt.mu.Lock()
+			rt.stats.CampaignErrors++
+			rt.stats.ExploreTime += exTime
+			rt.mu.Unlock()
 			rt.tracef("epoch %d: scenario %s failed: %v", ep.Seq, sc.Name(), err)
 			continue
 		}
@@ -829,13 +843,13 @@ func (rt *Runtime) explore(ctx context.Context, ep *checkpoint.Epoch) {
 				groups = append(groups, byInput[idx])
 			}
 		}
-		// Minimization replays are shadow-side work too: their cold rebuilds
-		// and quiescent runs are charged to ExploreTime, or the shadow
-		// overhead metric would understate the runtime's actual cost in
-		// finding-heavy soaks.
+		// Minimization replays are shadow-side work too: their resets, cold
+		// rebuilds and quiescent runs are charged to ExploreTime, or the
+		// shadow overhead metric would understate the runtime's actual cost
+		// in finding-heavy soaks.
 		minStart := time.Now()
 		for _, group := range groups {
-			rt.minimizeGroup(ep, group)
+			rt.minimizeGroup(ctx, ex, group)
 			for _, f := range group {
 				rt.report.Add(f)
 				rt.mu.Lock()
@@ -857,7 +871,11 @@ func (rt *Runtime) explore(ctx context.Context, ep *checkpoint.Epoch) {
 		}
 		minTime := time.Since(minStart)
 
-		rt.cache.Store(key, CacheEntry{Inputs: res.InputsExplored, Paths: paths})
+		// A campaign cut short by cancellation is never cached or rewarded.
+		cancelled := ctx.Err() != nil
+		if !cancelled {
+			rt.cache.Store(key, CacheEntry{Inputs: res.InputsExplored, Paths: paths})
+		}
 		rt.mu.Lock()
 		// Reward "new paths" only beyond the scenario's high-water mark:
 		// every executed campaign explores at least one path, so the raw
@@ -874,6 +892,9 @@ func (rt *Runtime) explore(ctx context.Context, ep *checkpoint.Epoch) {
 		rt.stats.PathsExplored += paths
 		rt.stats.ExploreTime += exTime + minTime
 		rt.mu.Unlock()
+		if cancelled {
+			return
+		}
 		rt.sched.Reward(sc.Name(), newViolations, newPaths)
 	}
 }
@@ -965,15 +986,28 @@ func traceOf(prelude []TraceStep, fromPeer, explorer string, d *dice.Detection) 
 	return steps
 }
 
-// replayKeys replays a trace against a cold clone of the epoch — a full
-// FromSnapshot rebuild, no pooling, no store shortcuts beyond the immutable
-// snapshot itself — and returns the violation keys the replayed state
-// exhibits.
-func (rt *Runtime) replayKeys(ep *checkpoint.Epoch, steps []TraceStep) map[string]bool {
-	shadow, err := cluster.FromSnapshot(rt.topo, ep.Store.Snapshot(), rt.opts.ClusterOptions)
-	if err != nil {
-		return nil
+// epochReplays is the minimizer's replay context for one epoch: search probes
+// lease from the epoch's clone pool (the one its campaigns ran on), and every
+// verdict that reaches the report comes from a cold rebuild, memoised by the
+// trace's bytes so identical final traces are confirmed once per epoch.
+type epochReplays struct {
+	ep   *checkpoint.Epoch
+	pool *cluster.ClonePool
+	cold map[string]map[string]bool
+}
+
+func (rt *Runtime) replaysOf(ep *checkpoint.Epoch) *epochReplays {
+	return &epochReplays{
+		ep:   ep,
+		pool: cluster.NewClonePool(rt.topo, ep.Store, rt.opts.ClusterOptions),
+		cold: make(map[string]map[string]bool),
 	}
+}
+
+// keysOn replays a trace on a shadow clone in snapshot state and returns the
+// violation keys it then exhibits: the one definition of a replay, shared by
+// pooled probes and cold confirmations.
+func (rt *Runtime) keysOn(shadow *cluster.Cluster, steps []TraceStep) map[string]bool {
 	faults.InstallCodeFaults(shadow.Routers, rt.opts.CodeFaults...)
 	replaySteps(shadow, steps, rt.opts.ShadowMaxEvents)
 	shadow.Net.RunQuiescent(rt.opts.ShadowMaxEvents)
@@ -984,51 +1018,110 @@ func (rt *Runtime) replayKeys(ep *checkpoint.Epoch, steps []TraceStep) map[strin
 	return out
 }
 
+// replayed accounts one executed replay. A failed one yields no keys (so it
+// never shortens a trace or sets Reverified) but is counted and traced.
+func (rt *Runtime) replayed(ex *epochReplays, cold bool, err error) {
+	rt.mu.Lock()
+	rt.stats.MinimizeReplays++
+	if cold {
+		rt.stats.MinimizeColdReplays++
+	}
+	if err != nil {
+		rt.stats.ReplayErrors++
+	}
+	rt.mu.Unlock()
+	if err != nil {
+		rt.tracef("epoch %d: minimizer replay failed: %v", ex.ep.Seq, err)
+	}
+}
+
+// probe replays a trace on a pooled clone of the epoch: the greedy search's
+// cheap verdict, equal to a cold one by the pool's reset ≡ cold golden.
+func (rt *Runtime) probe(ex *epochReplays, steps []TraceStep) map[string]bool {
+	shadow, err := ex.pool.Lease()
+	rt.replayed(ex, false, err)
+	if err != nil {
+		return nil
+	}
+	defer ex.pool.Release(shadow)
+	keys := rt.keysOn(shadow, steps)
+	if rt.testProbe != nil {
+		keys = rt.testProbe(steps, keys)
+	}
+	return keys
+}
+
+// confirm replays a trace against a cold clone of the epoch — a full
+// FromSnapshot rebuild, no pooling, no store shortcuts beyond the immutable
+// snapshot itself — once per distinct trace per epoch.
+func (rt *Runtime) confirm(ex *epochReplays, steps []TraceStep) map[string]bool {
+	var b strings.Builder
+	for _, s := range steps {
+		fmt.Fprintf(&b, "%q%q%q", s.From, s.To, s.Wire)
+	}
+	memo := b.String()
+	if keys, ok := ex.cold[memo]; ok {
+		return keys
+	}
+	var keys map[string]bool
+	shadow, err := cluster.FromSnapshot(rt.topo, ex.ep.Store.Snapshot(), rt.opts.ClusterOptions)
+	rt.replayed(ex, true, err)
+	if err == nil {
+		keys = rt.keysOn(shadow, steps)
+	}
+	ex.cold[memo] = keys
+	return keys
+}
+
 // reproduces reports whether replaying the trace on a cold clone reproduces
 // the given violation.
 func (rt *Runtime) reproduces(ep *checkpoint.Epoch, steps []TraceStep, violationKey string) bool {
-	return rt.replayKeys(ep, steps)[violationKey]
+	return rt.confirm(rt.replaysOf(ep), steps)[violationKey]
 }
 
 // minimize shrinks a single finding's trace; see minimizeGroup.
 func (rt *Runtime) minimize(ep *checkpoint.Epoch, f *Finding) {
-	rt.minimizeGroup(ep, []*Finding{f})
+	rt.minimizeGroup(context.Background(), rt.replaysOf(ep), []*Finding{f})
 }
 
 // minimizeGroup greedily shrinks the shared trace of findings co-detected on
 // one clone execution: drop each step whose removal still reproduces every
-// reverifiable violation of the group on a cold clone, within the replay
-// budget. Minimizing per group rather than per finding amortizes the cold
-// replays — one detecting input often surfaces dozens of violation keys, all
-// with the identical trace.
+// reverifiable violation of the group, within the probe budget and until ctx
+// ends. Minimizing per group rather than per finding amortizes the replays —
+// one detecting input often surfaces dozens of violation keys, all with the
+// identical trace.
 //
-// A finding whose violation does not reproduce concretely even from the full
-// trace (the detection depended on a counterfactual symbolic choice) keeps
-// its original trace with Reverified false; the others get the jointly
-// minimized trace, re-verified by construction — every accepted removal was
-// validated against a cold clone.
-func (rt *Runtime) minimizeGroup(ep *checkpoint.Epoch, group []*Finding) {
+// The search runs on pooled clones; only cold verdicts are reported.
+// Reverified is true only for a trace a cold replay reproduced, and false
+// only when a cold replay of the full trace does not show the violation (the
+// detection depended on a counterfactual symbolic choice; the finding keeps
+// its original trace). Should a cold confirmation ever contradict the pooled
+// search, the group keeps its original trace, cold-verified, and
+// MinimizeDisagreements is bumped: never a silently shorter trace.
+func (rt *Runtime) minimizeGroup(ctx context.Context, ex *epochReplays, group []*Finding) {
 	if rt.opts.MinimizeReplays < 0 || len(group) == 0 {
 		return
 	}
-	budget := rt.opts.MinimizeReplays
-	replays := 0
-	replay := func(steps []TraceStep) map[string]bool {
-		replays++
-		return rt.replayKeys(ep, steps)
+	original := group[0].Trace
+	covers := func(got map[string]bool, fs []*Finding) bool {
+		for _, f := range fs {
+			if !got[f.Violation.Key()] {
+				return false
+			}
+		}
+		return true
 	}
-	defer func() {
-		rt.mu.Lock()
-		rt.stats.MinimizeReplays += replays
-		rt.mu.Unlock()
-	}()
 
-	full := replay(group[0].Trace)
-	var want []string
+	probes, agreed := 1, true
+	pooled := rt.probe(ex, original)
+	full := pooled
+	if !covers(pooled, group) {
+		full = rt.confirm(ex, original) // Reverified=false must be a cold fact too
+	}
 	var verifiable []*Finding
 	for _, f := range group {
+		agreed = agreed && pooled[f.Violation.Key()] == full[f.Violation.Key()]
 		if full[f.Violation.Key()] {
-			want = append(want, f.Violation.Key())
 			verifiable = append(verifiable, f)
 		} else {
 			f.Reverified = false
@@ -1037,31 +1130,32 @@ func (rt *Runtime) minimizeGroup(ep *checkpoint.Epoch, group []*Finding) {
 	if len(verifiable) == 0 {
 		return
 	}
-	covers := func(got map[string]bool) bool {
-		for _, k := range want {
-			if !got[k] {
-				return false
-			}
-		}
-		return true
-	}
-	steps := cloneSteps(group[0].Trace)
-	for i := 0; i < len(steps) && replays < budget; {
+	steps := cloneSteps(original)
+	for i := 0; agreed && i < len(steps) && probes < rt.opts.MinimizeReplays && ctx.Err() == nil; probes++ {
 		candidate := append(cloneSteps(steps[:i]), cloneSteps(steps[i+1:])...)
-		if covers(replay(candidate)) {
+		if covers(rt.probe(ex, candidate), verifiable) {
 			steps = candidate
 		} else {
 			i++
 		}
 	}
+	confirmed := rt.confirm(ex, steps)
+	if !agreed || !covers(confirmed, verifiable) {
+		steps = cloneSteps(original)
+		confirmed = rt.confirm(ex, steps)
+		rt.mu.Lock()
+		rt.stats.MinimizeDisagreements++
+		rt.mu.Unlock()
+		rt.tracef("epoch %d: cold replay contradicted the pooled search; %d findings keep their original trace", ex.ep.Seq, len(verifiable))
+	}
 	// The joint pass minimizes to the union requirement: a steady-state
 	// violation grouped with an input-dependent one keeps whatever steps its
-	// groupmates need. One extra replay of the empty trace refines that —
-	// any finding the cold clone already exhibits gets the empty trace, its
-	// true minimum, no matter what it was co-detected with.
+	// groupmates need. One cold replay of the empty trace per epoch refines
+	// that — any finding the cold clone already exhibits gets the empty
+	// trace, its true minimum, no matter what it was co-detected with.
 	var steady map[string]bool
-	if len(steps) > 0 && replays < budget {
-		steady = replay(nil)
+	if len(steps) > 0 {
+		steady = rt.confirm(ex, nil)
 	}
 	for _, f := range verifiable {
 		if steady[f.Violation.Key()] {
@@ -1069,6 +1163,6 @@ func (rt *Runtime) minimizeGroup(ep *checkpoint.Epoch, group []*Finding) {
 		} else {
 			f.Trace = cloneSteps(steps)
 		}
-		f.Reverified = true
+		f.Reverified = steady[f.Violation.Key()] || confirmed[f.Violation.Key()]
 	}
 }

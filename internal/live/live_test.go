@@ -3,7 +3,9 @@ package live
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"github.com/dice-project/dice/internal/checker"
 	"github.com/dice-project/dice/internal/checkpoint"
 	"github.com/dice-project/dice/internal/cluster"
+	"github.com/dice-project/dice/internal/dice"
 	"github.com/dice-project/dice/internal/faults"
 	"github.com/dice-project/dice/internal/topology"
 )
@@ -428,4 +431,470 @@ func TestRuntimeCancellation(t *testing.T) {
 	if runErr != context.Canceled {
 		t.Errorf("Run err = %v, want context.Canceled", runErr)
 	}
+}
+
+// coldReplayKeys is the reference replay: a full FromSnapshot rebuild per
+// call, no pooling, no memo — what every minimizer replay was before the
+// search moved onto pooled clones.
+func (rt *Runtime) coldReplayKeys(ep *checkpoint.Epoch, steps []TraceStep) map[string]bool {
+	shadow, err := cluster.FromSnapshot(rt.topo, ep.Store.Snapshot(), rt.opts.ClusterOptions)
+	if err != nil {
+		return nil
+	}
+	faults.InstallCodeFaults(shadow.Routers, rt.opts.CodeFaults...)
+	replaySteps(shadow, steps, rt.opts.ShadowMaxEvents)
+	shadow.Net.RunQuiescent(rt.opts.ShadowMaxEvents)
+	out := make(map[string]bool)
+	for _, v := range checker.CheckAll(shadow, rt.props).Violations() {
+		out[v.Key()] = true
+	}
+	return out
+}
+
+// coldMinimizeGroup is the reference minimizer: the all-cold greedy loop the
+// pooled search replaced, kept here so the equivalence test below has
+// something independent to compare against.
+func (rt *Runtime) coldMinimizeGroup(ep *checkpoint.Epoch, group []*Finding, budget int) {
+	replays := 0
+	replay := func(steps []TraceStep) map[string]bool {
+		replays++
+		return rt.coldReplayKeys(ep, steps)
+	}
+	full := replay(group[0].Trace)
+	var want []string
+	var verifiable []*Finding
+	for _, f := range group {
+		if full[f.Violation.Key()] {
+			want = append(want, f.Violation.Key())
+			verifiable = append(verifiable, f)
+		} else {
+			f.Reverified = false
+		}
+	}
+	if len(verifiable) == 0 {
+		return
+	}
+	covers := func(got map[string]bool) bool {
+		for _, k := range want {
+			if !got[k] {
+				return false
+			}
+		}
+		return true
+	}
+	steps := cloneSteps(group[0].Trace)
+	for i := 0; i < len(steps) && replays < budget; {
+		candidate := append(cloneSteps(steps[:i]), cloneSteps(steps[i+1:])...)
+		if covers(replay(candidate)) {
+			steps = candidate
+		} else {
+			i++
+		}
+	}
+	var steady map[string]bool
+	if len(steps) > 0 && replays < budget {
+		steady = replay(nil)
+	}
+	for _, f := range verifiable {
+		if steady[f.Violation.Key()] {
+			f.Trace = nil
+		} else {
+			f.Trace = cloneSteps(steps)
+		}
+		f.Reverified = true
+	}
+}
+
+// coldReproducer is rt.reproduces over many findings: one cold replay per
+// distinct (epoch, trace) instead of one per finding.
+func coldReproducer(rt *Runtime) func(*Finding) bool {
+	replays := make(map[int]*epochReplays)
+	return func(f *Finding) bool {
+		if replays[f.Epoch] == nil {
+			replays[f.Epoch] = rt.replaysOf(rt.Ring().Get(f.Epoch))
+		}
+		return rt.confirm(replays[f.Epoch], f.Trace)[f.Violation.Key()]
+	}
+}
+
+func sameTrace(a, b []TraceStep) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].From != b[i].From || a[i].To != b[i].To || !bytes.Equal(a[i].Wire, b[i].Wire) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPooledSearchMatchesColdSearch pins pooled search ≡ cold search: two
+// identical soaks, one minimizing online (pooled probes, memoised cold
+// confirmations), one publishing raw traces that the reference all-cold
+// minimizer then shrinks. Every finding must come out with the same trace
+// bytes and the same Reverified, and must reproduce from a cold clone.
+func TestPooledSearchMatchesColdSearch(t *testing.T) {
+	line := topology.Line(3)
+	demo := topology.Demo27Hetero3()
+	cases := []struct {
+		name     string
+		topo     *topology.Topology
+		faults   []faults.ConfigFault
+		explorer string
+		epochs   int
+	}{
+		{"line3-two-faults", line, []faults.ConfigFault{
+			faults.MisOrigination{Router: "R3", Prefix: line.Nodes[0].Prefixes[0]},
+			faults.MissingImportFilter{Router: "R2", Peer: "R1"},
+		}, "R2", 2},
+		{"demo27-hetero3", demo, []faults.ConfigFault{
+			faults.MisOrigination{Router: "R12", Prefix: demo.Nodes[26].Prefixes[0]},
+			faults.MissingImportFilter{Router: "R1", Peer: "R4"},
+		}, "R1", 1},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			copts := cluster.Options{Seed: 1, MaxEvents: 300000, ConfigOverride: faults.ApplyConfigFaults(tc.faults...)}
+			soak := func(minimizeReplays int) *Runtime {
+				deployed := cluster.MustBuild(tc.topo, copts)
+				deployed.Converge()
+				rt, err := NewRuntime(deployed, tc.topo, Options{
+					Seed:              1,
+					ClusterOptions:    copts,
+					MaxEpochs:         tc.epochs,
+					InputsPerScenario: 4,
+					FuzzSeeds:         2,
+					Explorers:         []string{tc.explorer},
+					Workers:           1,
+					MinimizeReplays:   minimizeReplays,
+					Traffic:           DefaultTraffic(2),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := rt.Run(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				return rt
+			}
+			pooled, raw := soak(0), soak(-1)
+			if s := pooled.Stats(); s.MinimizeDisagreements != 0 || s.ReplayErrors != 0 ||
+				s.MinimizeColdReplays == 0 || s.MinimizeReplays <= s.MinimizeColdReplays {
+				t.Fatalf("replays %d (cold %d), disagreements %d, errors %d; want pooled probes, cold confirmations, no disagreement",
+					s.MinimizeReplays, s.MinimizeColdReplays, s.MinimizeDisagreements, s.ReplayErrors)
+			}
+
+			// Regroup the raw soak's findings as explore() grouped them (one
+			// group per detecting clone execution) and minimize all-cold.
+			type groupKey struct {
+				epoch                    int
+				scenario, explorer, peer string
+				domain                   string
+				input                    int
+			}
+			groups := make(map[groupKey][]*Finding)
+			var order []groupKey
+			for _, f := range raw.Report().Findings() {
+				k := groupKey{f.Epoch, f.Scenario, f.Explorer, f.FromPeer, f.Domain, f.InputIndex}
+				if len(groups[k]) == 0 {
+					order = append(order, k)
+				}
+				groups[k] = append(groups[k], f)
+			}
+			for _, k := range order {
+				raw.coldMinimizeGroup(raw.Ring().Get(k.epoch), groups[k], pooled.opts.MinimizeReplays)
+			}
+
+			got := pooled.Report().Findings()
+			if len(got) == 0 || len(got) != raw.Report().Len() {
+				t.Fatalf("findings: pooled soak %d, raw soak %d", len(got), raw.Report().Len())
+			}
+			shrunk := 0
+			reproduces := coldReproducer(pooled)
+			for _, f := range got {
+				key := f.Violation.Key()
+				ref := raw.Report().Find(key)
+				if ref == nil {
+					t.Fatalf("finding %s missing from the reference soak", key)
+				}
+				if !sameTrace(f.Trace, ref.Trace) || f.Reverified != ref.Reverified {
+					t.Errorf("%s: pooled trace %v (reverified %v), cold reference %v (reverified %v)",
+						key, f.Trace, f.Reverified, ref.Trace, ref.Reverified)
+				}
+				if len(f.Trace) < f.TraceOriginal {
+					shrunk++
+				}
+				if f.Reverified && !reproduces(f) {
+					t.Errorf("%s: reverified trace does not reproduce from a cold clone", key)
+				}
+			}
+			if shrunk == 0 {
+				t.Errorf("no trace was shrunk; the fixture does not exercise the search")
+			}
+		})
+	}
+}
+
+// TestMinimizerDisagreementKeepsOriginalTrace makes the pooled search lie (it
+// claims every candidate reproduces the violation) and proves the fallback:
+// the cold confirmation refuses the over-shrunk trace, the finding keeps its
+// original trace, cold-verified, and the disagreement is counted.
+func TestMinimizerDisagreementKeepsOriginalTrace(t *testing.T) {
+	topo := topology.Line(3)
+	opts := cluster.Options{Seed: 1}
+	deployed := cluster.MustBuild(topo, opts)
+	deployed.Converge()
+	var lines []string
+	rt, err := NewRuntime(deployed, topo, Options{Seed: 1, ClusterOptions: opts, Workers: 1,
+		Trace: func(s string) { lines = append(lines, s) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := rt.Ring().Push(deployed.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	legit := &bgp.PathAttributes{Origin: bgp.OriginIGP, ASPath: []bgp.ASN{topo.Nodes[0].AS}, NextHop: 1}
+	trace := []TraceStep{
+		{From: "R1", To: "R2", Wire: bgp.Encode(&bgp.Update{Withdrawn: []bgp.Prefix{topo.Nodes[0].Prefixes[0]}})},
+		{From: "R1", To: "R2", Wire: bgp.Encode(&bgp.Update{Attrs: legit, NLRI: []bgp.Prefix{topo.Nodes[2].Prefixes[0]}})},
+	}
+	// Recover the violation the full trace produces (the hijack's).
+	var violation checker.Violation
+	shadow, err := cluster.FromSnapshot(topo, ep.Store.Snapshot(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replaySteps(shadow, trace, 20000)
+	for _, v := range checker.CheckAll(shadow, rt.props).Violations() {
+		if v.Class == checker.ClassOperatorMistake {
+			violation = v
+			break
+		}
+	}
+	if violation.Key() == "" || rt.coldReplayKeys(ep, nil)[violation.Key()] {
+		t.Fatal("fixture trace produces no operator-mistake violation of its own")
+	}
+
+	rt.testProbe = func(_ []TraceStep, keys map[string]bool) map[string]bool {
+		keys[violation.Key()] = true // the lie
+		return keys
+	}
+	f := &Finding{Violation: violation, Class: violation.Class, Trace: cloneSteps(trace), TraceOriginal: len(trace)}
+	rt.minimize(ep, f)
+	if !sameTrace(f.Trace, trace) {
+		t.Errorf("disagreeing group's trace = %v, want the original %v", f.Trace, trace)
+	}
+	if !f.Reverified || !rt.reproduces(ep, f.Trace, violation.Key()) {
+		t.Errorf("original trace not cold-verified (reverified %v)", f.Reverified)
+	}
+	if s := rt.Stats(); s.MinimizeDisagreements != 1 {
+		t.Errorf("MinimizeDisagreements = %d, want 1", s.MinimizeDisagreements)
+	}
+	if len(lines) != 1 || !strings.Contains(lines[0], "contradicted") {
+		t.Errorf("trace lines = %q, want the one disagreement line", lines)
+	}
+}
+
+// heavyFixture deploys the 27-router demo with both example faults planted:
+// every churn epoch surfaces hundreds of findings in a few dozen groups.
+func heavyFixture(t *testing.T) (*cluster.Cluster, *topology.Topology, cluster.Options) {
+	t.Helper()
+	topo := topology.Demo27()
+	opts := cluster.Options{Seed: 1, MaxEvents: 300000, ConfigOverride: faults.ApplyConfigFaults(
+		faults.MisOrigination{Router: "R12", Prefix: topo.Nodes[26].Prefixes[0]},
+		faults.MissingImportFilter{Router: "R1", Peer: "R4"})}
+	deployed := cluster.MustBuild(topo, opts)
+	deployed.Converge()
+	return deployed, topo, opts
+}
+
+// TestMinimizerHonorsCancellation cancels the soak from inside a finding-heavy
+// campaign: the greedy search must stop at the next probe boundary, so Run
+// returns after a bounded number of further replays (one pooled probe and one
+// cold confirmation per detected group, plus the epoch's steady replay)
+// instead of the full search — and everything it publishes on the way out is
+// still cold-verified.
+func TestMinimizerHonorsCancellation(t *testing.T) {
+	run := func(cancelAt dice.EventKind) (*Runtime, *Report, error) {
+		deployed, topo, opts := heavyFixture(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		rt, err := NewRuntime(deployed, topo, Options{
+			Seed:              1,
+			ClusterOptions:    opts,
+			MaxEpochs:         1,
+			InputsPerScenario: 4,
+			FuzzSeeds:         2,
+			ScenariosPerEpoch: 1,
+			Explorers:         []string{"R1"},
+			Workers:           1,
+			OnCampaignEvent: func(_ int, _ string, ev dice.Event) {
+				if ev.Kind == cancelAt {
+					cancel()
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := rt.Run(ctx)
+		return rt, report, err
+	}
+
+	full, _, err := run(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every detection is in, none is minimized yet.
+	rt, report, err := run(dice.EventCampaignEnd)
+	if err != context.Canceled {
+		t.Fatalf("Run err = %v, want context.Canceled", err)
+	}
+	stats := rt.Stats()
+	if report.Len() == 0 {
+		t.Fatal("the cancelled campaign's detections were dropped, not published")
+	}
+	groups := make(map[string]bool)
+	reproduces := coldReproducer(rt)
+	for _, f := range report.Findings() {
+		groups[fmt.Sprint(f.FromPeer, f.InputIndex)] = true
+		if !f.Reverified || !reproduces(f) {
+			t.Errorf("published after cancellation without a cold verdict: %v", f)
+		}
+	}
+	bound := 2*len(groups) + 1
+	if stats.MinimizeReplays > bound {
+		t.Errorf("%d replays after cancellation, want at most %d (%d groups)", stats.MinimizeReplays, bound, len(groups))
+	}
+	if fs := full.Stats(); len(groups) < 2 || fs.MinimizeReplays <= 2*bound {
+		t.Errorf("%d groups; uncancelled soak spent %d replays against a bound of %d: the fixture does not exercise the search", len(groups), fs.MinimizeReplays, bound)
+	}
+	if rt.Cache().Len() != 0 {
+		t.Errorf("a partial campaign was cached: %d entries", rt.Cache().Len())
+	}
+	if ps := rt.PoolStats(); ps.Leases != ps.Releases || rt.PoolOutstanding() != 0 {
+		t.Errorf("leases %d, releases %d, outstanding %d after cancellation", ps.Leases, ps.Releases, rt.PoolOutstanding())
+	}
+}
+
+// TestProbesShareTheCampaignPool pins the pool accounting with minimizer
+// probes in the pool: leases balance, nothing stays outstanding, and each
+// exploring epoch cold-builds exactly one clone per worker — probes reuse the
+// campaign's clone rather than growing the pool.
+func TestProbesShareTheCampaignPool(t *testing.T) {
+	for _, overlap := range []bool{false, true} {
+		deployed, topo, opts := soakFixture(t)
+		exploring := 0
+		rt, err := NewRuntime(deployed, topo, Options{
+			Seed:              1,
+			ClusterOptions:    opts,
+			MaxEpochs:         3,
+			Overlap:           overlap,
+			InputsPerScenario: 3,
+			FuzzSeeds:         2,
+			Explorers:         []string{"R2"},
+			Workers:           1,
+			Traffic:           DefaultTraffic(1),
+			OnEpoch: func(s EpochSummary) {
+				if s.Campaigns > 0 {
+					exploring++
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		stats, ps := rt.Stats(), rt.PoolStats()
+		if stats.MinimizeReplays <= stats.MinimizeColdReplays || stats.MinimizeColdReplays == 0 {
+			t.Fatalf("overlap %v: replays %d, cold %d; want pooled probes and cold confirmations", overlap, stats.MinimizeReplays, stats.MinimizeColdReplays)
+		}
+		if ps.Leases != ps.Releases || rt.PoolOutstanding() != 0 {
+			t.Errorf("overlap %v: leases %d, releases %d, outstanding %d", overlap, ps.Leases, ps.Releases, rt.PoolOutstanding())
+		}
+		if want := stats.InputsExplored + stats.MinimizeReplays - stats.MinimizeColdReplays; ps.Leases != want {
+			t.Errorf("overlap %v: %d leases, want %d (inputs + pooled probes)", overlap, ps.Leases, want)
+		}
+		if exploring == 0 || ps.ColdBuilds != exploring {
+			t.Errorf("overlap %v: %d cold builds over %d exploring epochs, want one per epoch per worker", overlap, ps.ColdBuilds, exploring)
+		}
+		if stats.MinimizeDisagreements != 0 || stats.ReplayErrors != 0 || stats.CampaignErrors != 0 {
+			t.Errorf("overlap %v: disagreements %d, replay errors %d, campaign errors %d", overlap, stats.MinimizeDisagreements, stats.ReplayErrors, stats.CampaignErrors)
+		}
+	}
+}
+
+// TestFailuresAreCountedNotQuiet pins the two failure paths that used to be a
+// quiet nothing: a campaign that fails outright and a replay whose clone
+// cannot be built are counted, charged and named in the trace.
+func TestFailuresAreCountedNotQuiet(t *testing.T) {
+	deployed, topo, opts := soakFixture(t)
+	var lines []string
+	rt, err := NewRuntime(deployed, topo, Options{
+		Seed:              1,
+		ClusterOptions:    opts,
+		MaxEpochs:         1,
+		ScenariosPerEpoch: 2,
+		Explorers:         []string{"no-such-router"}, // every campaign fails to plan
+		Workers:           1,
+		Traffic:           func(*cluster.Cluster, *rand.Rand, int) {},
+		Trace:             func(s string) { lines = append(lines, s) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	stats := rt.Stats()
+	if stats.CampaignErrors != 2 || stats.Campaigns != 0 || stats.ExploreTime <= 0 {
+		t.Errorf("campaign errors %d, campaigns %d, explore time %v; want 2 failed campaigns, charged", stats.CampaignErrors, stats.Campaigns, stats.ExploreTime)
+	}
+	if n := countContaining(lines, "failed: ", "no-such-router"); n != 2 {
+		t.Errorf("%d trace lines carry the campaign error, want 2: %q", n, lines)
+	}
+	if rt.Cache().Len() != 0 {
+		t.Errorf("a failed campaign was cached")
+	}
+
+	// A replay against an epoch the topology does not fit: neither the pooled
+	// lease nor the cold rebuild can produce a clone.
+	small := cluster.MustBuild(topology.Line(2), cluster.Options{Seed: 1})
+	small.Converge()
+	ep, err := checkpoint.NewRing(1).Push(small.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines = nil
+	f := &Finding{Violation: checker.Violation{Property: "p", Node: "R3"}, Trace: []TraceStep{{From: "R1", To: "R2"}}, TraceOriginal: 1}
+	rt.minimize(ep, f)
+	stats = rt.Stats()
+	if f.Reverified || len(f.Trace) != 1 {
+		t.Errorf("unreplayable finding came out reverified %v with %d steps", f.Reverified, len(f.Trace))
+	}
+	if stats.ReplayErrors != 2 || stats.MinimizeReplays != 2 || stats.MinimizeColdReplays != 1 {
+		t.Errorf("replay errors %d of %d replays (%d cold), want 2 of 2 (1 cold)", stats.ReplayErrors, stats.MinimizeReplays, stats.MinimizeColdReplays)
+	}
+	if n := countContaining(lines, "replay failed: "); n != 2 {
+		t.Errorf("%d trace lines carry the replay error, want 2: %q", n, lines)
+	}
+}
+
+func countContaining(lines []string, subs ...string) int {
+	n := 0
+next:
+	for _, l := range lines {
+		for _, sub := range subs {
+			if !strings.Contains(l, sub) {
+				continue next
+			}
+		}
+		n++
+	}
+	return n
 }

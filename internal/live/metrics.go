@@ -71,6 +71,8 @@ func RegisterMetrics(reg *obs.Registry, rt func() *Runtime) {
 	// Exploration.
 	reg.CounterFunc("dice_live_campaigns_total", "Scenario campaigns executed.",
 		func() float64 { return float64(stats().Campaigns) })
+	reg.CounterFunc("dice_live_campaign_errors_total", "Scenario campaigns that failed outright (time still charged to exploration).",
+		func() float64 { return float64(stats().CampaignErrors) })
 	reg.CounterFunc("dice_live_campaigns_deduped_total", "Scenario campaigns skipped by the cross-epoch dedupe cache.",
 		func() float64 { return float64(stats().CampaignsDeduped) })
 	reg.CounterFunc("dice_live_inputs_explored_total", "Inputs explored across all campaigns.",
@@ -98,8 +100,14 @@ func RegisterMetrics(reg *obs.Registry, rt func() *Runtime) {
 		func() float64 { return float64(stats().Findings) })
 	reg.CounterFunc("dice_live_findings_reverified_total", "Findings whose minimized trace re-verified on a cold clone.",
 		func() float64 { return float64(stats().FindingsReverified) })
-	reg.CounterFunc("dice_live_minimize_replays_total", "Cold-clone replays spent by the trace minimizer.",
+	reg.CounterFunc("dice_live_minimize_replays_total", "Replays executed by the trace minimizer (pooled search probes plus cold confirmations).",
 		func() float64 { return float64(stats().MinimizeReplays) })
+	reg.CounterFunc("dice_live_minimize_cold_replays_total", "Minimizer replays run on a cold FromSnapshot rebuild (the verdicts that set Reverified).",
+		func() float64 { return float64(stats().MinimizeColdReplays) })
+	reg.CounterFunc("dice_live_minimize_disagreements_total", "Finding groups whose cold confirmation contradicted the pooled search (original trace kept).",
+		func() float64 { return float64(stats().MinimizeDisagreements) })
+	reg.CounterFunc("dice_live_replay_errors_total", "Minimizer replays whose clone could not be leased or built.",
+		func() float64 { return float64(stats().ReplayErrors) })
 	reg.GaugeFunc("dice_live_first_detection_epoch", "Epoch of the first finding (0: none yet).",
 		func() float64 { return float64(stats().FirstDetectionEpoch) })
 
