@@ -277,8 +277,10 @@ func BenchmarkE9CloneStoreBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkE9ClonePooledReset measures the pooled hot path: lease a clone
-// (rewinding it to the snapshot in place) and release it.
+// BenchmarkE9ClonePooledReset measures the floor of the pooled hot path:
+// lease a clone nobody touched since its last lease and release it. A reset
+// costs what the last lease moved; BenchmarkResetToStore in internal/cluster
+// has the clean, one-router and all-routers cases side by side.
 func BenchmarkE9ClonePooledReset(b *testing.B) {
 	topo, snap := demo27Snapshot(b)
 	store, err := checkpoint.NewStore(snap)

@@ -814,7 +814,8 @@ type E9Result struct {
 
 	// Per-clone microbenchmark over CloneSamples clones of the demo
 	// snapshot: a legacy cold rebuild (config re-validation + record
-	// re-parsing per clone) vs an in-place pooled reset.
+	// re-parsing per clone) vs an in-place pooled reset of a clone that ran
+	// one explored input since its last lease.
 	CloneSamples   int
 	ColdClonePer   time.Duration
 	PooledResetPer time.Duration
@@ -880,16 +881,21 @@ func RunE9(cfg ExperimentConfig) (*E9Result, error) {
 		return nil, err
 	}
 	pool := cluster.NewClonePool(topo, store, copts)
-	warm, err := pool.Lease() // first lease is the pool's one cold build
-	if err != nil {
-		return nil, err
+	// explore drives one input on a leased clone. A reset rewinds only the
+	// routers the last lease moved, so the clone must be used between leases
+	// for the reset timed here to be the one a campaign pays.
+	peer := topo.NeighborsOf("R1")[0]
+	attrs := &bgp.PathAttributes{Origin: bgp.OriginIGP, ASPath: []bgp.ASN{topo.Node(peer).AS, 64999}, NextHop: 99}
+	explore := func(c *cluster.Cluster) {
+		c.InjectUpdate(peer, "R1", &bgp.Update{Attrs: attrs, NLRI: []bgp.Prefix{bgp.MustParsePrefix("88.1.0.0/16")}})
+		c.Net.RunQuiescent(0)
 	}
-	pool.Release(warm)
-	for i := 0; i < out.CloneSamples; i++ {
+	for i := 0; i <= out.CloneSamples; i++ { // the first lease is the pool's one cold build
 		c, err := pool.Lease()
 		if err != nil {
 			return nil, err
 		}
+		explore(c)
 		pool.Release(c)
 	}
 	out.PooledResetPer = pool.Stats().ResetPer()
@@ -938,10 +944,7 @@ func RunE9(cfg ExperimentConfig) (*E9Result, error) {
 		return nil, err
 	}
 	defer pool.Release(clone)
-	peer := topo.NeighborsOf("R1")[0]
-	attrs := &bgp.PathAttributes{Origin: bgp.OriginIGP, ASPath: []bgp.ASN{topo.Node(peer).AS, 64999}, NextHop: 99}
-	clone.InjectUpdate(peer, "R1", &bgp.Update{Attrs: attrs, NLRI: []bgp.Prefix{bgp.MustParsePrefix("88.1.0.0/16")}})
-	clone.Net.RunQuiescent(0)
+	explore(clone)
 	totalFull, totalDelta := 0, 0
 	for _, name := range clone.RouterNames() {
 		d, err := store.Delta(name, clone.Router(name).TakeCheckpoint())

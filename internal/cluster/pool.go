@@ -46,12 +46,14 @@ func FromStore(topo *topology.Topology, store *checkpoint.Store, opts Options) (
 }
 
 // ResetToStore rewinds the shadow cluster to the snapshot held by the store:
-// every router's mutable state is reset onto its image in place, the network
-// is rewound to virtual time zero with an empty event queue and reseeded
-// randomness, and the snapshot's in-flight messages are re-injected. The
-// result is indistinguishable from a cold FromSnapshot/FromStore rebuild
-// (the pool's golden equivalence test asserts byte identity), at a fraction
-// of the cost.
+// every router that moved since it was last reset onto this store is reset
+// onto its image in place (Router.ResetTo leaves the others as they are, at
+// the cost of two pointer compares), the network is rewound to virtual time
+// zero with an empty event queue and reseeded randomness, and the snapshot's
+// in-flight messages are re-injected. The result is indistinguishable from a
+// cold FromSnapshot/FromStore rebuild (the seeded-walk equivalence test
+// asserts byte identity), at a cost proportional to what the last lease
+// disturbed.
 func (c *Cluster) ResetToStore(store *checkpoint.Store) error {
 	for name, r := range c.Routers {
 		im, st := store.Image(name), store.State(name)
@@ -141,8 +143,11 @@ func (s PoolStats) Sub(o PoolStats) PoolStats {
 // ClonePool is a pool of reusable shadow clusters over one snapshot store.
 // Workers lease a clone, drive one explored input on it, and release it;
 // released clones are rewound to the snapshot on their next lease rather
-// than rebuilt. The pool grows on demand (a lease with no free clone builds
-// one cold), so its size converges to the worker-pool parallelism.
+// than rebuilt, and the rewind touches only the routers the last lease moved.
+// That holds as long as lessees change router state through the emulator
+// alone (see node.Router). The pool grows on demand (a lease with no free
+// clone builds one cold), so its size converges to the worker-pool
+// parallelism.
 //
 // ClonePool is safe for concurrent use.
 type ClonePool struct {

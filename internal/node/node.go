@@ -111,6 +111,14 @@ type State any
 // Router is the behavioral interface every BGP speaker backend implements.
 // It is the only view the cluster, checker and campaign layers have of a
 // node, which is what lets one deployment mix implementations.
+//
+// A router's checkpointed state may be mutated only through Start,
+// HandleMessage, HandleTimer and ResetTo. Everything else is a read-only
+// view: LocRIB hands out the live structure and Config a shared pointer, and
+// callers must not write through either. ResetTo relies on it — a backend
+// may skip rewinding a router none of those entry points ran on since it was
+// last reset onto the same (image, state), so a write through an accessor
+// would survive into the next lease of a pooled clone.
 type Router interface {
 	netem.Node
 
@@ -136,8 +144,12 @@ type Router interface {
 	// TakeCheckpoint captures the router's current state.
 	TakeCheckpoint() Checkpoint
 	// ResetTo returns the router to the snapshot described by (image, state)
-	// in place, overwriting every piece of mutable state. It fails when the
-	// image or state belongs to a different backend.
+	// in place: afterwards its state equals a fresh restore of the pair, and
+	// no armed exploration or update hook is installed. Images and states are
+	// immutable, so a backend may compare them by identity and leave in place
+	// a router that has not moved since it was last reset onto this very
+	// pair. It fails when the image or state belongs to a different backend;
+	// a router whose reset failed is rewound in full by the next one.
 	ResetTo(im Image, st State) error
 
 	// ExploreNextUpdate arms symbolic tracing: the next UPDATE received from

@@ -413,6 +413,42 @@ func TestPoolDiscardsDeadProcClone(t *testing.T) {
 	pool.Release(next)
 }
 
+// TestPoolDiscardsCloneWhoseChildDiedIdle: a pooled clone nobody touched is
+// not rewound on its next lease, so no round trip would notice that one of
+// its subprocesses died meanwhile — the lease must notice anyway and fall
+// through to a cold build instead of handing out a dead cluster.
+func TestPoolDiscardsCloneWhoseChildDiedIdle(t *testing.T) {
+	requireSpawn(t)
+	topo := topology.Line(2).SetImpl("proc:bird")
+	opts := cluster.Options{Seed: 9}
+	live := cluster.MustBuild(topo, opts)
+	live.Converge()
+	store, err := checkpoint.NewStore(live.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := cluster.NewClonePool(topo, store, opts)
+	clone, err := pool.Lease()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Release(clone)
+	if !procdriver.Kill(clone.Router("R2")) {
+		t.Fatal("no child behind the clone's R2")
+	}
+	next, err := pool.Lease()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next == clone || next.Unhealthy() != nil {
+		t.Errorf("the pool leased a clone whose child died while it was idle")
+	}
+	if s := pool.Stats(); s.Discards != 1 || s.ColdBuilds != 2 {
+		t.Errorf("pool stats after an idle death: %+v, want 1 discard and 2 cold builds", s)
+	}
+	pool.Release(next)
+}
+
 // TestProcResetClearsHookAndMachine: ResetTo is the clone-recycling rewind;
 // it must drop the armed machine and installed hook on both sides of the
 // boundary, exactly as the in-process routers do.

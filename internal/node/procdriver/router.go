@@ -26,10 +26,16 @@ type proxy struct {
 	innerImpl string
 	innerBe   node.Backend
 
-	mu      sync.Mutex
-	child   *child
-	mirror  node.Router
-	dirty   bool // mirror is behind the child's state
+	mu     sync.Mutex
+	child  *child
+	mirror node.Router
+	dirty  bool // mirror is behind the child's state
+	// moved: an entry point was forwarded since the child was last reset onto
+	// (resetIm, resetSt). ResetTo skips the round trip of a proxy that has not
+	// moved, is asked for the same pair and carries no hook or machine.
+	moved   bool
+	resetIm *Image
+	resetSt *State
 	machine *concolic.Machine
 	hook    node.UpdateHook
 	err     error // first fatal failure; the proxy is dead once set
@@ -85,7 +91,7 @@ func restoreProxy(innerImpl string, im *Image, st *State) (node.Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &proxy{name: im.name, innerImpl: innerImpl, innerBe: be, child: c, mirror: mirror}
+	p := &proxy{name: im.name, innerImpl: innerImpl, innerBe: be, child: c, mirror: mirror, resetIm: im, resetSt: st}
 	w := codec.NewWriter()
 	w.Blob(st.data)
 	p.mu.Lock()
@@ -169,6 +175,13 @@ func (p *proxy) callFatal(env netem.Env, typ byte, payload []byte) {
 		p.err = fmt.Errorf("procdriver: %s: %w", p.name, err)
 		p.child.kill()
 	}
+}
+
+// forward ships one state-mutating entry point to the child: the mirror falls
+// behind it and the proxy counts as moved.
+func (p *proxy) forward(env netem.Env, typ byte, payload []byte) {
+	p.dirty, p.moved = true, true
+	p.callFatal(env, typ, payload)
 }
 
 func (p *proxy) stderrTail() string {
@@ -274,10 +287,14 @@ func (p *proxy) Start(env netem.Env) {
 	if p.err != nil {
 		return
 	}
+	// A started mirror in step with the child means the child is started too
+	// and its Start would return at once: nothing to forward, nothing moved.
+	if s, ok := p.mirror.(interface{ Started() bool }); ok && !p.dirty && s.Started() {
+		return
+	}
 	w := codec.NewWriter()
 	w.Uvarint(uint64(env.Now()))
-	p.dirty = true
-	p.callFatal(env, codec.KindProcStart, w.Bytes())
+	p.forward(env, codec.KindProcStart, w.Bytes())
 }
 
 func (p *proxy) HandleMessage(env netem.Env, from netem.NodeID, payload []byte) {
@@ -290,8 +307,7 @@ func (p *proxy) HandleMessage(env netem.Env, from netem.NodeID, payload []byte) 
 	w.Uvarint(uint64(env.Now()))
 	w.String(string(from))
 	w.Blob(payload)
-	p.dirty = true
-	p.callFatal(env, codec.KindProcDeliver, w.Bytes())
+	p.forward(env, codec.KindProcDeliver, w.Bytes())
 }
 
 func (p *proxy) HandleTimer(env netem.Env, name string) {
@@ -303,8 +319,7 @@ func (p *proxy) HandleTimer(env netem.Env, name string) {
 	w := codec.NewWriter()
 	w.Uvarint(uint64(env.Now()))
 	w.String(name)
-	p.dirty = true
-	p.callFatal(env, codec.KindProcTimer, w.Bytes())
+	p.forward(env, codec.KindProcTimer, w.Bytes())
 }
 
 //
@@ -407,17 +422,30 @@ func (p *proxy) ResetTo(im node.Image, st node.State) error {
 	if p.err != nil {
 		return p.err
 	}
-	w := codec.NewWriter()
-	w.Blob(pst.data)
-	if _, err := p.call(nil, codec.KindProcReset, w.Bytes()); err != nil {
-		return err
+	if p.moved || p.hook != nil || p.machine != nil || p.resetIm != pim || p.resetSt != pst {
+		p.moved = true // until the child and the mirror both hold the pair
+		w := codec.NewWriter()
+		w.Blob(pst.data)
+		if _, err := p.call(nil, codec.KindProcReset, w.Bytes()); err != nil {
+			return err
+		}
+		// The child's ResetTo cleared its hook and armed machine; match it.
+		p.machine, p.hook = nil, nil
+	} else {
+		// Nothing reached the child since it was reset onto this pair, so it
+		// still holds it — if it lives: the skipped round trip is what would
+		// have found a child that died while pooled.
+		select {
+		case <-p.child.waited:
+			return p.fail(fmt.Errorf("procdriver: %s: subprocess died while idle%s", p.name, p.stderrTail()))
+		default:
+		}
 	}
-	// The child's ResetTo cleared its hook and armed machine; match it.
-	p.machine, p.hook = nil, nil
+	// The mirror skips likewise, unless a read path (CheckInvariants) moved it.
 	if err := p.mirror.ResetTo(pim.innerIm, pst.innerSt); err != nil {
 		return p.fail(fmt.Errorf("procdriver: %s: mirror reset: %w", p.name, err))
 	}
-	p.dirty = false
+	p.dirty, p.moved, p.resetIm, p.resetSt = false, false, pim, pst
 	return nil
 }
 

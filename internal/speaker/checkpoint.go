@@ -432,12 +432,15 @@ func (d *Dialect) Restore(cp *Checkpoint) (*Router, error) {
 }
 
 // ResetTo returns the router to the snapshot described by (image, state) in
-// place: every piece of mutable state — sessions, RIBs, counters, events,
-// crash flags, armed explorations and injected fault hooks — is overwritten.
-// This is the pooled-clone hot path: resetting an existing router is
-// equivalent to (and much cheaper than) restoring a fresh one from the
-// checkpoint. It implements node.Router, so the image and state arrive
-// behind the neutral interfaces and must be this router's dialect's own.
+// place: armed explorations and injected fault hooks are always dropped, and
+// the checkpointed state — sessions, RIBs, counters, events, crash flags — is
+// overwritten unless the router has not moved since it was last reset onto
+// this very pair (compared by pointer: images and states are immutable), in
+// which case it already holds it. This is the pooled-clone hot path:
+// resetting an existing router is equivalent to (and much cheaper than)
+// restoring a fresh one from the checkpoint. It implements node.Router, so
+// the image and state arrive behind the neutral interfaces and must be this
+// router's dialect's own.
 func (r *Router) ResetTo(nim node.Image, nst node.State) error {
 	im, st, err := r.d.ownHalves(r.cfg.Name, nim, nst)
 	if err != nil {
@@ -446,6 +449,9 @@ func (r *Router) ResetTo(nim node.Image, nst node.State) error {
 	r.explore = exploration{}
 	r.activeMachine = nil
 	r.hook = nil
+	if !r.moved && r.resetIm == im && r.resetSt == st {
+		return nil
+	}
 	return r.applyState(im, st)
 }
 
@@ -453,8 +459,10 @@ func (r *Router) ResetTo(nim node.Image, nst node.State) error {
 // instantiation of the decoded state. Each instantiation deep-copies every
 // route, so concurrent clones sharing one State never alias mutable
 // attributes; existing RIB structures are cleared and reused rather than
-// reallocated.
+// reallocated. The router stays marked moved until the last field is written,
+// so a failed or half-finished apply is never mistaken for a clean reset.
 func (r *Router) applyState(im *Image, st *State) error {
+	r.moved = true
 	r.bind(im.cfg)
 	unknown := func(peer string) error {
 		return fmt.Errorf("%s: restore %s: unknown session %s", r.d.Name, im.cfg.Name, peer)
@@ -504,5 +512,6 @@ func (r *Router) applyState(im *Image, st *State) error {
 	} else {
 		r.events = nil
 	}
+	r.moved, r.resetIm, r.resetSt = false, im, st
 	return nil
 }

@@ -112,6 +112,15 @@ type Router struct {
 	panicked  bool
 	lastPanic string
 	started   bool
+
+	// moved is set by every entry point that can change checkpointed state (a
+	// Start that really starts, HandleTimer, HandleMessage — hooks and armed
+	// machines run inside those) and cleared when applyState completes onto
+	// (resetIm, resetSt). ResetTo rewinds only a router that moved or is asked
+	// for a different pair, so a pooled reset costs what the input disturbed.
+	moved   bool
+	resetIm *Image
+	resetSt *State
 }
 
 // Interface check: Router is a full node.Router backend.
@@ -186,7 +195,9 @@ func (r *Router) Implementation() string { return r.d.Name }
 // Config returns the router's configuration. Callers must not mutate it.
 func (r *Router) Config() *node.Config { return r.cfg }
 
-// LocRIB returns the router's Loc-RIB.
+// LocRIB returns the router's Loc-RIB. Like AdjIn and AdjOut it is the live
+// structure, handed out as a read-only view: a write through it bypasses the
+// entry points ResetTo's dirty tracking relies on (see node.Router).
 func (r *Router) LocRIB() *rib.LocRIB { return r.locRIB }
 
 // AdjIn returns the Adj-RIB-In for a peer, or nil.
@@ -217,6 +228,11 @@ func (r *Router) Events() []node.RouteEvent { return r.events }
 // Panicked reports whether the UPDATE handler crashed (directly or through an
 // injected fault) and the crash reason.
 func (r *Router) Panicked() (bool, string) { return r.panicked, r.lastPanic }
+
+// Started reports whether Start has run, i.e. whether another Start would
+// return at once. The out-of-process driver asks its mirror, so a started
+// node's Start costs no round trip and does not count as a move.
+func (r *Router) Started() bool { return r.started }
 
 // SessionState returns the FSM state of the session with the named peer.
 func (r *Router) SessionState(peer string) SessionState {
@@ -253,6 +269,7 @@ func (r *Router) Start(env netem.Env) {
 	if r.started {
 		return
 	}
+	r.moved = true
 	r.started = true
 	for _, n := range r.cfg.Neighbors {
 		r.startSession(env, r.sessions[n.Name])
@@ -277,6 +294,7 @@ func (r *Router) sendOpen(env netem.Env, s *session) {
 
 // HandleTimer implements netem.Node.
 func (r *Router) HandleTimer(env netem.Env, name string) {
+	r.moved = true
 	if peer, ok := strings.CutPrefix(name, "retry/"); ok {
 		if s := r.sessions[peer]; s != nil && !s.established() {
 			r.startSession(env, s)
@@ -298,6 +316,7 @@ func (r *Router) HandleTimer(env netem.Env, name string) {
 // than taking the whole emulation down, mirroring a daemon that crashes and
 // gets flagged by its supervisor.
 func (r *Router) HandleMessage(env netem.Env, from netem.NodeID, payload []byte) {
+	r.moved = true
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.panicked = true
@@ -650,6 +669,12 @@ func (r *Router) CheckInvariants() []string {
 			violations = append(violations, fmt.Sprintf("Adj-RIB-Out for down session %s is not empty", n.Name))
 		}
 	}
-	r.stats.InvariantFailures = len(violations)
+	// The counter is checkpointed state written from a read path: a change
+	// counts as a move, or a clean pooled router would carry it into the next
+	// lease where a cold clone has the snapshot's value.
+	if n := len(violations); r.stats.InvariantFailures != n {
+		r.stats.InvariantFailures = n
+		r.moved = true
+	}
 	return violations
 }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/dice-project/dice/internal/bgp"
 	"github.com/dice-project/dice/internal/bgp/policy"
+	"github.com/dice-project/dice/internal/bgp/rib"
 	"github.com/dice-project/dice/internal/bird"
 	"github.com/dice-project/dice/internal/concolic"
 	"github.com/dice-project/dice/internal/frr"
@@ -543,6 +544,129 @@ func TestResetEquivalentToColdRebuild(t *testing.T) {
 		}
 	})
 }
+
+// TestResetRewindsOnlyMovedRouters pins the dirty-set rule at router level: a
+// router that has not moved since it was reset onto the very same (image,
+// state) keeps its state in place and only drops its hook and armed machine;
+// a handled message, a different state pointer or a failed reset each force
+// the full rewind.
+func TestResetRewindsOnlyMovedRouters(t *testing.T) {
+	forEachDialect(t, func(t *testing.T, d *speaker.Dialect) {
+		net, routers := buildLine(t, d, 3)
+		net.RunQuiescent(0)
+		cp := routers["R2"].Checkpoint()
+		baseline := canonical(t, d, cp)
+		im, err := d.ImageOf(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := func(cp *speaker.Checkpoint) *speaker.State {
+			st, err := d.DecodeState(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		st := decode(cp)
+		r, err := im.Restore(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The best route points into the slab the last rewind stamped out.
+		slab := func() *rib.Route { return r.LocRIB().Best(prefixOf(1)) }
+		deliver := func() {
+			net := netem.New(netem.Options{Seed: 2})
+			net.AddNode(r)
+			net.InjectMessage("R1", "R2", announce(1, "99.9.0.0/16"), 0)
+			net.RunQuiescent(0)
+		}
+
+		kept := slab()
+		hookCalls := 0
+		r.SetUpdateHook(func(node.HookContext, string, *bgp.Update) error { hookCalls++; return nil })
+		r.ExploreNextUpdate(concolic.NewMachine(concolic.NewInput("update", nil), concolic.MachineOptions{}), "R1")
+		if v := r.CheckInvariants(); len(v) != 0 {
+			t.Fatalf("healthy router reports %v", v)
+		}
+		if err := r.ResetTo(im, st); err != nil {
+			t.Fatal(err)
+		}
+		if slab() != kept {
+			t.Errorf("an unmoved router was rewound")
+		}
+		deliver()
+		if hookCalls != 0 || r.Stats().ExploredSymbolic != 0 {
+			t.Errorf("a skipped rewind must still drop the hook and the armed machine (%d calls, %d explored)", hookCalls, r.Stats().ExploredSymbolic)
+		}
+
+		if err := r.ResetTo(im, st); err != nil {
+			t.Fatal(err)
+		}
+		if slab() == kept || canonical(t, d, r.Checkpoint()) != baseline {
+			t.Errorf("a router that handled a message was not rewound")
+		}
+
+		kept = slab()
+		twin := decode(cp)
+		if err := r.ResetTo(im, twin); err != nil {
+			t.Fatal(err)
+		}
+		if slab() == kept {
+			t.Errorf("an equal state under a different pointer must rewind: identity is the only evidence of equality")
+		}
+
+		// R1's state names a session R2 does not have: the rewind fails half
+		// way, and the next one onto the last good pair must not be skipped.
+		if err := r.ResetTo(im, decode(routers["R1"].Checkpoint())); err == nil {
+			t.Fatal("reset onto another router's state must fail")
+		}
+		if err := r.ResetTo(im, twin); err != nil {
+			t.Fatal(err)
+		}
+		if canonical(t, d, r.Checkpoint()) != baseline {
+			t.Errorf("a failed rewind left the router marked clean")
+		}
+
+		// The other two entry points, on a snapshot cut before the start.
+		_, unstarted := buildLine(t, d, 3)
+		ucp := unstarted["R2"].Checkpoint()
+		uim, err := d.ImageOf(ucp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ust := decode(ucp)
+		u, err := uim.Restore(ust)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, move := range []struct {
+			name string
+			run  func()
+		}{
+			{"Start", func() { u.Start(loneEnv{}) }},
+			{"HandleTimer", func() { u.HandleTimer(loneEnv{}, "retry/R1") }},
+		} {
+			move.run()
+			if canonical(t, d, u.Checkpoint()) == canonical(t, d, ucp) {
+				t.Fatalf("%s changed nothing; test is vacuous", move.name)
+			}
+			if err := u.ResetTo(uim, ust); err != nil {
+				t.Fatal(err)
+			}
+			if canonical(t, d, u.Checkpoint()) != canonical(t, d, ucp) {
+				t.Errorf("a router moved by %s was not rewound", move.name)
+			}
+		}
+	})
+}
+
+// loneEnv is an emulator view with nobody on the other end: sends and timers
+// vanish.
+type loneEnv struct{ netem.Env }
+
+func (loneEnv) Now() time.Duration             { return 0 }
+func (loneEnv) Send(netem.NodeID, []byte)      {}
+func (loneEnv) SetTimer(string, time.Duration) {}
 
 // TestRejectsForeignHalves pins the dialect boundary: a router refuses to
 // reset onto, and a backend refuses to decode or restore, another dialect's
