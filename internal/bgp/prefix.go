@@ -114,9 +114,15 @@ func (p Prefix) Valid() bool {
 	return p.Len <= 32 && p.Addr == p.Addr&p.Mask()
 }
 
-// String renders the prefix in "a.b.c.d/len" form.
+// String renders the prefix in "a.b.c.d/len" form. Violation keys, summary
+// keys and logs render prefixes by the thousand, so it avoids fmt.
 func (p Prefix) String() string {
-	return fmt.Sprintf("%s/%d", ipString(p.Addr), p.Len)
+	b := make([]byte, 0, len("255.255.255.255/255"))
+	for shift := 24; shift >= 0; shift -= 8 {
+		b = append(strconv.AppendUint(b, uint64(byte(p.Addr>>shift)), 10), '.')
+	}
+	b[len(b)-1] = '/'
+	return string(strconv.AppendUint(b, uint64(p.Len), 10))
 }
 
 // Less orders prefixes by address then by length, giving a deterministic

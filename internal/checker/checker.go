@@ -17,10 +17,12 @@ package checker
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"github.com/dice-project/dice/internal/bgp"
 	"github.com/dice-project/dice/internal/checkpoint"
 	"github.com/dice-project/dice/internal/cluster"
+	"github.com/dice-project/dice/internal/node"
 	"github.com/dice-project/dice/internal/topology"
 )
 
@@ -107,9 +109,10 @@ func (v Violation) String() string {
 	return fmt.Sprintf("[%s/%s] %s: %s", v.Class, v.Property, v.Node, v.Detail)
 }
 
-// Key identifies the violation for deduplication across explored inputs.
+// Key identifies the violation for deduplication across explored inputs. Every
+// violation of every input is keyed, so it is built without fmt.
 func (v Violation) Key() string {
-	return fmt.Sprintf("%s|%s|%s|%v", v.Property, v.Node, v.Prefix, v.HasPfx)
+	return v.Property + "|" + v.Node + "|" + v.Prefix.String() + "|" + strconv.FormatBool(v.HasPfx)
 }
 
 // Result is the outcome of checking one property over one system state.
@@ -124,6 +127,40 @@ type Result struct {
 
 // OK reports whether the property held.
 func (r Result) OK() bool { return len(r.Violations) == 0 }
+
+// nodeResult is what one router contributes to a node-local property: its
+// violations and the verdict it shares.
+type nodeResult struct {
+	violations []Violation
+	verdict    Verdict
+}
+
+// add appends one router's contribution, charging its verdict.
+func (r *Result) add(n nodeResult) {
+	r.Violations = append(r.Violations, n.violations...)
+	r.Verdicts = append(r.Verdicts, n.verdict)
+	r.DisclosedBytes += n.verdict.size()
+}
+
+// nodeLocal is a Property each router decides from its own state. Check is
+// the loop over forNode, so an Evaluator can reuse the outcome of a router
+// that still holds the snapshot it was computed on.
+type nodeLocal interface {
+	Property
+	// forNode returns the per-router evaluation, with whatever the property
+	// derives from the deployment rather than from router state resolved once.
+	forNode(c *cluster.Cluster) func(name string, r node.Router) nodeResult
+}
+
+// checkNodes is Check for every node-local property.
+func checkNodes(p nodeLocal, c *cluster.Cluster) Result {
+	res := Result{Property: p.Name()}
+	check := p.forNode(c)
+	for _, name := range c.RouterNames() {
+		res.add(check(name, c.Router(name)))
+	}
+	return res
+}
 
 // Property is a checkable system property.
 type Property interface {
@@ -244,11 +281,11 @@ func (OriginValidity) Name() string { return "origin-validity" }
 
 // Check implements Property. Each node checks its own Loc-RIB against the
 // public registry and shares only verdicts.
-func (p OriginValidity) Check(c *cluster.Cluster) Result {
-	res := Result{Property: p.Name()}
-	for _, name := range c.RouterNames() {
-		r := c.Router(name)
-		ok := true
+func (p OriginValidity) Check(c *cluster.Cluster) Result { return checkNodes(p, c) }
+
+func (p OriginValidity) forNode(*cluster.Cluster) func(string, node.Router) nodeResult {
+	return func(name string, r node.Router) nodeResult {
+		out := nodeResult{verdict: Verdict{Node: name, Property: p.Name(), OK: true}}
 		for _, best := range r.LocRIB().BestRoutes() {
 			owner, registered := p.Ownership[best.Prefix]
 			if !registered {
@@ -259,8 +296,8 @@ func (p OriginValidity) Check(c *cluster.Cluster) Result {
 				originAS = r.Config().AS
 			}
 			if originAS != owner {
-				ok = false
-				res.Violations = append(res.Violations, Violation{
+				out.verdict.OK, out.verdict.Detail = false, "hijacked prefix selected"
+				out.violations = append(out.violations, Violation{
 					Property: p.Name(),
 					Class:    ClassOperatorMistake,
 					Node:     name,
@@ -270,14 +307,8 @@ func (p OriginValidity) Check(c *cluster.Cluster) Result {
 				})
 			}
 		}
-		v := Verdict{Node: name, Property: p.Name(), OK: ok}
-		if !ok {
-			v.Detail = "hijacked prefix selected"
-		}
-		res.Verdicts = append(res.Verdicts, v)
-		res.DisclosedBytes += v.size()
+		return out
 	}
-	return res
 }
 
 //
@@ -294,20 +325,20 @@ type Reachability struct {
 func (Reachability) Name() string { return "reachability" }
 
 // Check implements Property.
-func (p Reachability) Check(c *cluster.Cluster) Result {
-	res := Result{Property: p.Name()}
+func (p Reachability) Check(c *cluster.Cluster) Result { return checkNodes(p, c) }
+
+func (p Reachability) forNode(*cluster.Cluster) func(string, node.Router) nodeResult {
 	prefixes := make([]bgp.Prefix, 0, len(p.Ownership))
 	for pfx := range p.Ownership {
 		prefixes = append(prefixes, pfx)
 	}
 	bgp.SortPrefixes(prefixes)
-	for _, name := range c.RouterNames() {
-		r := c.Router(name)
-		ok := true
+	return func(name string, r node.Router) nodeResult {
+		out := nodeResult{verdict: Verdict{Node: name, Property: p.Name(), OK: true}}
 		for _, pfx := range prefixes {
 			if r.LocRIB().Best(pfx) == nil {
-				ok = false
-				res.Violations = append(res.Violations, Violation{
+				out.verdict.OK = false
+				out.violations = append(out.violations, Violation{
 					Property: p.Name(),
 					Class:    ClassOperatorMistake,
 					Node:     name,
@@ -317,11 +348,8 @@ func (p Reachability) Check(c *cluster.Cluster) Result {
 				})
 			}
 		}
-		v := Verdict{Node: name, Property: p.Name(), OK: ok}
-		res.Verdicts = append(res.Verdicts, v)
-		res.DisclosedBytes += v.size()
+		return out
 	}
-	return res
 }
 
 //
@@ -372,18 +400,23 @@ type ProjectionProperty interface {
 	CheckProjection(edges []ForwardingEdge, nodes []string) Result
 }
 
+// appendEdges appends one router's forwarding projection.
+func appendEdges(edges []ForwardingEdge, name string, r node.Router) []ForwardingEdge {
+	for _, best := range r.LocRIB().BestRoutes() {
+		e := ForwardingEdge{Node: name, Prefix: best.Prefix}
+		if !best.Local {
+			e.NextHop = best.Peer
+		}
+		edges = append(edges, e)
+	}
+	return edges
+}
+
 // Projection implements ProjectionProperty.
 func (LoopFreedom) Projection(c *cluster.Cluster) []ForwardingEdge {
 	var edges []ForwardingEdge
 	for _, name := range c.RouterNames() {
-		r := c.Router(name)
-		for _, best := range r.LocRIB().BestRoutes() {
-			e := ForwardingEdge{Node: name, Prefix: best.Prefix}
-			if !best.Local {
-				e.NextHop = best.Peer
-			}
-			edges = append(edges, e)
-		}
+		edges = appendEdges(edges, name, c.Router(name))
 	}
 	return edges
 }
@@ -401,66 +434,193 @@ func (p LoopFreedom) Check(c *cluster.Cluster) Result {
 	return res
 }
 
-// CheckProjection implements ProjectionProperty.
+// CheckProjection implements ProjectionProperty: every start whose walk along
+// the next hops of a prefix reaches a cycle is a violation, in (sorted
+// prefix, nodes) order.
 func (p LoopFreedom) CheckProjection(edges []ForwardingEdge, nodes []string) Result {
-	res := Result{Property: p.Name()}
-	// nextHop[node][prefix] = neighbor the node forwards to ("" = local).
-	nextHop := make(map[string]map[bgp.Prefix]string)
-	prefixSet := make(map[bgp.Prefix]bool)
-	for _, e := range edges {
-		proj := nextHop[e.Node]
-		if proj == nil {
-			proj = make(map[bgp.Prefix]string)
-			nextHop[e.Node] = proj
-		}
-		proj[e.Prefix] = e.NextHop
-		prefixSet[e.Prefix] = true
-	}
-	prefixes := make([]bgp.Prefix, 0, len(prefixSet))
-	for pfx := range prefixSet {
-		prefixes = append(prefixes, pfx)
-	}
-	bgp.SortPrefixes(prefixes)
+	return newLoopGraph(edges, nodes).check(p, nil)
+}
 
-	loopSeen := make(map[string]bool) // start+prefix keys already reported
-	loopByNode := make(map[string]bool)
-	for _, pfx := range prefixes {
-		for _, start := range nodes {
-			seen := map[string]bool{}
-			cur := start
-			for {
-				if seen[cur] {
-					// Cycle reached from start for this prefix.
-					key := start + "|" + pfx.String()
-					if !loopSeen[key] {
-						loopSeen[key] = true
-						loopByNode[start] = true
-						res.Violations = append(res.Violations, Violation{
-							Property: p.Name(),
-							Class:    ClassPolicyConflict,
-							Node:     start,
-							Prefix:   pfx,
-							HasPfx:   true,
-							Detail:   "forwarding loop",
-						})
-					}
-					break
-				}
-				seen[cur] = true
-				next, ok := nextHop[cur][pfx]
-				if !ok || next == "" {
-					break // reached the origin or a node with no route
-				}
-				cur = next
-			}
+// noHop ends a walk: the node originates the prefix, has no route for it, or
+// forwards to a name that discloses no edges.
+const noHop = -1
+
+// loopGraph is a forwarding projection in index form — a column per node, a
+// row of next-hop columns per prefix, so a walk reads slices, not maps —
+// together with the starts that loop in it.
+type loopGraph struct {
+	nodes    []string             // the starts, in report order
+	starts   []int32              // column of each start
+	columns  map[string]int32     // every start and every edge source
+	prefixes []bgp.Prefix         // sorted; prefixes[i] is row i
+	rows     map[bgp.Prefix]int32 // the inverse of prefixes
+	next     []int32              // len(prefixes) × len(columns), noHop where the walk ends
+	loops    [][]int32            // by row: positions in nodes whose walk reaches a cycle
+}
+
+func newLoopGraph(edges []ForwardingEdge, nodes []string) *loopGraph {
+	g := &loopGraph{
+		nodes:   nodes,
+		starts:  make([]int32, len(nodes)),
+		columns: make(map[string]int32, len(nodes)),
+		rows:    make(map[bgp.Prefix]int32),
+	}
+	column := func(name string) int32 {
+		col, ok := g.columns[name]
+		if !ok {
+			col = int32(len(g.columns))
+			g.columns[name] = col
+		}
+		return col
+	}
+	for i, name := range nodes {
+		g.starts[i] = column(name)
+	}
+	for _, e := range edges {
+		column(e.Node)
+		if _, ok := g.rows[e.Prefix]; !ok {
+			g.rows[e.Prefix] = 0
+			g.prefixes = append(g.prefixes, e.Prefix)
 		}
 	}
-	for _, name := range nodes {
-		v := Verdict{Node: name, Property: p.Name(), OK: !loopByNode[name]}
-		res.Verdicts = append(res.Verdicts, v)
-		res.DisclosedBytes += v.size()
+	bgp.SortPrefixes(g.prefixes)
+	for row, pfx := range g.prefixes {
+		g.rows[pfx] = int32(row)
+	}
+	g.next = make([]int32, len(g.prefixes)*len(g.columns))
+	for i := range g.next {
+		g.next[i] = noHop
+	}
+	for _, e := range edges { // in order: the last edge of a (node, prefix) wins
+		g.row(int(g.rows[e.Prefix]))[g.columns[e.Node]] = g.hop(e.NextHop)
+	}
+	var w loopWalk
+	g.loops = make([][]int32, len(g.prefixes))
+	for row := range g.loops {
+		g.loops[row] = w.loopStarts(g, g.row(row))
+	}
+	return g
+}
+
+// hop is the column a next-hop name forwards to.
+func (g *loopGraph) hop(nextHop string) int32 {
+	if col, ok := g.columns[nextHop]; ok && nextHop != "" {
+		return col
+	}
+	return noHop
+}
+
+func (g *loopGraph) row(i int) []int32 {
+	return g.next[i*len(g.columns) : (i+1)*len(g.columns)]
+}
+
+// hopChange is one place where a graph departs from a loopGraph: at prefix,
+// column col now forwards to hop.
+type hopChange struct {
+	pfx      bgp.Prefix
+	col, hop int32
+}
+
+// check is the property's Result for the graph that departs from g by the
+// changes (none: g itself). Only the prefixes some change names are walked
+// again, on g's row patched with the changes — a row of noHop for a prefix g
+// never saw; the others keep g's loops.
+func (g *loopGraph) check(p LoopFreedom, changes []hopChange) Result {
+	if len(changes) > 1 {
+		sort.Slice(changes, func(i, j int) bool { return changes[i].pfx.Less(changes[j].pfx) })
+	}
+	res := Result{Property: p.Name()}
+	looped := make([]bool, len(g.columns))
+	add := func(pfx bgp.Prefix, starts []int32) {
+		for _, i := range starts {
+			looped[g.starts[i]] = true
+			res.Violations = append(res.Violations, Violation{
+				Property: p.Name(),
+				Class:    ClassPolicyConflict,
+				Node:     g.nodes[i],
+				Prefix:   pfx,
+				HasPfx:   true,
+				Detail:   "forwarding loop",
+			})
+		}
+	}
+	var w loopWalk
+	var row []int32
+	// rewalk consumes the changes of the first changed prefix left.
+	rewalk := func(unchanged []int32) {
+		pfx := changes[0].pfx
+		row = append(row[:0], unchanged...)
+		for unchanged == nil && len(row) < len(g.columns) {
+			row = append(row, noHop) // a prefix g never saw: nobody forwards yet
+		}
+		for ; len(changes) > 0 && changes[0].pfx == pfx; changes = changes[1:] {
+			row[changes[0].col] = changes[0].hop
+		}
+		add(pfx, w.loopStarts(g, row))
+	}
+	for i, pfx := range g.prefixes {
+		for len(changes) > 0 && changes[0].pfx.Less(pfx) {
+			rewalk(nil)
+		}
+		if len(changes) > 0 && changes[0].pfx == pfx {
+			rewalk(g.row(i))
+		} else {
+			add(pfx, g.loops[i])
+		}
+	}
+	for len(changes) > 0 {
+		rewalk(nil)
+	}
+	for i, name := range g.nodes {
+		res.add(nodeResult{verdict: Verdict{Node: name, Property: p.Name(), OK: !looped[g.starts[i]]}})
 	}
 	return res
+}
+
+// loopWalk classifies every column of one row in a single pass — each
+// column's walk stops at the first column already classified — and keeps its
+// scratch between rows.
+type loopWalk struct {
+	state []uint8
+	path  []int32
+}
+
+const (
+	unvisited uint8 = iota
+	onPath
+	ends     // the walk reaches an origin or a node without a route
+	cycles   // the walk reaches a cycle
+	reported // cycles, and already listed as a start of this row
+)
+
+// loopStarts returns the positions in g.nodes whose walk along row reaches a
+// cycle, each name once, in order; nil when the row is loop-free.
+func (w *loopWalk) loopStarts(g *loopGraph, row []int32) []int32 {
+	w.state = append(w.state[:0], make([]uint8, len(row))...)
+	for first := range row {
+		cur := int32(first)
+		w.path = w.path[:0]
+		for cur != noHop && w.state[cur] == unvisited {
+			w.state[cur] = onPath
+			w.path = append(w.path, cur)
+			cur = row[cur]
+		}
+		verdict := ends
+		if cur != noHop && w.state[cur] != ends {
+			verdict = cycles // ran into its own path, or into a walk that cycles
+		}
+		for _, col := range w.path {
+			w.state[col] = verdict
+		}
+	}
+	var starts []int32
+	for i, col := range g.starts {
+		if w.state[col] == cycles {
+			w.state[col] = reported
+			starts = append(starts, int32(i))
+		}
+	}
+	return starts
 }
 
 //
@@ -479,19 +639,19 @@ func (Convergence) Name() string { return "convergence" }
 
 // Check implements Property. Each node inspects only its own event log and
 // shares a verdict.
-func (p Convergence) Check(c *cluster.Cluster) Result {
+func (p Convergence) Check(c *cluster.Cluster) Result { return checkNodes(p, c) }
+
+func (p Convergence) forNode(*cluster.Cluster) func(string, node.Router) nodeResult {
 	limit := p.MaxChangesPerPrefix
 	if limit <= 0 {
 		limit = 8
 	}
-	res := Result{Property: p.Name()}
-	for _, name := range c.RouterNames() {
-		r := c.Router(name)
+	return func(name string, r node.Router) nodeResult {
+		out := nodeResult{verdict: Verdict{Node: name, Property: p.Name(), OK: true}}
 		counts := make(map[bgp.Prefix]int)
 		for _, ev := range r.Events() {
 			counts[ev.Prefix]++
 		}
-		ok := true
 		prefixes := make([]bgp.Prefix, 0, len(counts))
 		for pfx := range counts {
 			prefixes = append(prefixes, pfx)
@@ -499,8 +659,8 @@ func (p Convergence) Check(c *cluster.Cluster) Result {
 		bgp.SortPrefixes(prefixes)
 		for _, pfx := range prefixes {
 			if counts[pfx] > limit {
-				ok = false
-				res.Violations = append(res.Violations, Violation{
+				out.verdict.OK = false
+				out.violations = append(out.violations, Violation{
 					Property: p.Name(),
 					Class:    ClassPolicyConflict,
 					Node:     name,
@@ -510,11 +670,8 @@ func (p Convergence) Check(c *cluster.Cluster) Result {
 				})
 			}
 		}
-		v := Verdict{Node: name, Property: p.Name(), OK: ok}
-		res.Verdicts = append(res.Verdicts, v)
-		res.DisclosedBytes += v.size()
+		return out
 	}
-	return res
 }
 
 //
@@ -529,26 +686,24 @@ type NodeHealth struct{}
 func (NodeHealth) Name() string { return "node-health" }
 
 // Check implements Property.
-func (p NodeHealth) Check(c *cluster.Cluster) Result {
-	res := Result{Property: p.Name()}
-	for _, name := range c.RouterNames() {
-		r := c.Router(name)
-		violations := r.CheckInvariants()
-		sort.Strings(violations)
-		for _, v := range violations {
-			res.Violations = append(res.Violations, Violation{
+func (p NodeHealth) Check(c *cluster.Cluster) Result { return checkNodes(p, c) }
+
+func (p NodeHealth) forNode(*cluster.Cluster) func(string, node.Router) nodeResult {
+	return func(name string, r node.Router) nodeResult {
+		out := nodeResult{verdict: Verdict{Node: name, Property: p.Name(), OK: true}}
+		failed := r.CheckInvariants()
+		sort.Strings(failed)
+		for _, v := range failed {
+			out.violations = append(out.violations, Violation{
 				Property: p.Name(),
 				Class:    ClassProgrammingError,
 				Node:     name,
 				Detail:   v,
 			})
 		}
-		verdict := Verdict{Node: name, Property: p.Name(), OK: len(violations) == 0}
-		if !verdict.OK {
-			verdict.Detail = fmt.Sprintf("%d invariant violations", len(violations))
+		if len(failed) > 0 {
+			out.verdict.OK, out.verdict.Detail = false, fmt.Sprintf("%d invariant violations", len(failed))
 		}
-		res.Verdicts = append(res.Verdicts, verdict)
-		res.DisclosedBytes += verdict.size()
+		return out
 	}
-	return res
 }

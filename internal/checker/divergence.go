@@ -89,49 +89,44 @@ func (p CrossImplDivergence) comparedPolicies(c *cluster.Cluster) []rib.Decision
 // per-node properties: each node shares one verdict; the candidate replay
 // happens node-locally. Nodes, prefixes and policies are all iterated in
 // sorted order, so the violation set is deterministic.
-func (p CrossImplDivergence) Check(c *cluster.Cluster) Result {
-	res := Result{Property: p.Name()}
+func (p CrossImplDivergence) Check(c *cluster.Cluster) Result { return checkNodes(p, c) }
+
+func (p CrossImplDivergence) forNode(c *cluster.Cluster) func(string, node.Router) nodeResult {
 	policies := p.comparedPolicies(c)
-	for _, name := range c.RouterNames() {
-		r := c.Router(name)
-		ok := true
-		if len(policies) > 1 {
-			lr := r.LocRIB()
-			for _, pfx := range lr.Prefixes() {
-				cands := lr.Candidates(pfx)
-				if len(cands) < 2 {
-					continue
-				}
-				first := rib.SelectBestWith(nil, cands, policies[0])
-				diverged := false
-				for _, pol := range policies[1:] {
-					if !sameSelection(first, rib.SelectBestWith(nil, cands, pol)) {
-						diverged = true
-						break
-					}
-				}
-				if !diverged {
-					continue
-				}
-				ok = false
-				res.Violations = append(res.Violations, Violation{
-					Property: p.Name(),
-					Class:    ClassImplDivergence,
-					Node:     name,
-					Prefix:   pfx,
-					HasPfx:   true,
-					Detail:   classifyDivergence(cands),
-				})
+	return func(name string, r node.Router) nodeResult {
+		out := nodeResult{verdict: Verdict{Node: name, Property: p.Name(), OK: true}}
+		if len(policies) < 2 {
+			return out
+		}
+		lr := r.LocRIB()
+		for _, pfx := range lr.Prefixes() {
+			cands := lr.Candidates(pfx)
+			if len(cands) < 2 {
+				continue
 			}
+			first := rib.SelectBestWith(nil, cands, policies[0])
+			diverged := false
+			for _, pol := range policies[1:] {
+				if !sameSelection(first, rib.SelectBestWith(nil, cands, pol)) {
+					diverged = true
+					break
+				}
+			}
+			if !diverged {
+				continue
+			}
+			out.verdict.OK, out.verdict.Detail = false, "implementation-dependent best path"
+			out.violations = append(out.violations, Violation{
+				Property: p.Name(),
+				Class:    ClassImplDivergence,
+				Node:     name,
+				Prefix:   pfx,
+				HasPfx:   true,
+				Detail:   classifyDivergence(cands),
+			})
 		}
-		v := Verdict{Node: name, Property: p.Name(), OK: ok}
-		if !ok {
-			v.Detail = "implementation-dependent best path"
-		}
-		res.Verdicts = append(res.Verdicts, v)
-		res.DisclosedBytes += v.size()
+		return out
 	}
-	return res
 }
 
 // classifyDivergence replays a divergent candidate set through the full

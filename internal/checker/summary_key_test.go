@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/dice-project/dice/internal/bgp"
@@ -89,5 +90,34 @@ func TestPropertiesByName(t *testing.T) {
 	}
 	if _, err := PropertiesByName(topo, "no-such-property"); err == nil {
 		t.Fatalf("unknown property name accepted")
+	}
+}
+
+// TestViolationKeyRendering pins the bytes of Violation.Key: detections dedupe
+// on it, ViolationDigest.Key and the control wire carry it, and the benchmark
+// goldens hash it — it must render exactly what
+// fmt.Sprintf("%s|%s|%s|%v", Property, Node, Prefix, HasPfx) did.
+func TestViolationKeyRendering(t *testing.T) {
+	for _, tc := range []struct {
+		v    Violation
+		want string
+	}{
+		{Violation{Property: "origin-validity", Node: "R3", Prefix: bgp.MustParsePrefix("10.0.1.0/24"), HasPfx: true}, "origin-validity|R3|10.0.1.0/24|true"},
+		{Violation{Property: "node-health", Node: "R12", Detail: "handler crashed"}, "node-health|R12|0.0.0.0/0|false"},
+		{Violation{Property: "reachability", Node: "R1", Prefix: bgp.Prefix{}, HasPfx: true}, "reachability|R1|0.0.0.0/0|true"},
+		{Violation{Property: "loop-freedom", Node: "R7", Prefix: bgp.MustParsePrefix("192.168.255.1/32"), HasPfx: true}, "loop-freedom|R7|192.168.255.1/32|true"},
+		{Violation{Property: "convergence", Prefix: bgp.MustParsePrefix("255.255.255.255/32"), HasPfx: true}, "convergence||255.255.255.255/32|true"},
+		{Violation{Property: "cross-impl-divergence", Node: "R2", Prefix: bgp.Prefix{Addr: 0x0a000100, Len: 200}, HasPfx: true}, "cross-impl-divergence|R2|10.0.1.0/200|true"},
+		{Violation{}, "||0.0.0.0/0|false"},
+	} {
+		if got := tc.v.Key(); got != tc.want {
+			t.Errorf("Key() = %q, want %q", got, tc.want)
+		}
+		if legacy := fmt.Sprintf("%s|%s|%s|%v", tc.v.Property, tc.v.Node, tc.v.Prefix, tc.v.HasPfx); legacy != tc.want {
+			t.Errorf("the pinned key %q is not what the fmt rendering gives (%q)", tc.want, legacy)
+		}
+		if got := DigestOf(tc.v).Key(); got != tc.want {
+			t.Errorf("ViolationDigest.Key() = %q, want %q", got, tc.want)
+		}
 	}
 }

@@ -74,6 +74,8 @@ type Cluster struct {
 	Net     *netem.Network
 	Routers map[string]node.Router
 	opts    Options
+	// parent is the cluster a Subview was cut from (nil for a whole cluster).
+	parent *Cluster
 }
 
 // relationOf classifies the neighbor relationship from the point of view of
@@ -232,8 +234,14 @@ func MustBuild(topo *topology.Topology, opts Options) *Cluster {
 func (c *Cluster) Router(name string) node.Router { return c.Routers[name] }
 
 // Implementations returns the distinct router implementations deployed in
-// the cluster, sorted. A heterogeneous deployment reports more than one.
+// the cluster, sorted. A heterogeneous deployment reports more than one. A
+// Subview answers for the deployment it was cut from: which implementations
+// a federation mixes is public, and a one-router domain would otherwise look
+// homogeneous to the differential check.
 func (c *Cluster) Implementations() []string {
+	if c.parent != nil {
+		return c.parent.Implementations()
+	}
 	seen := make(map[string]bool)
 	for _, r := range c.Routers {
 		seen[r.Implementation()] = true
@@ -360,7 +368,7 @@ func (c *Cluster) Subview(sub *topology.Topology) *Cluster {
 			routers[n.Name] = r
 		}
 	}
-	return &Cluster{Topo: sub, Net: c.Net, Routers: routers, opts: c.opts}
+	return &Cluster{Topo: sub, Net: c.Net, Routers: routers, opts: c.opts, parent: c}
 }
 
 // TotalBestChanges sums the best-route changes across all routers, a proxy

@@ -257,6 +257,9 @@ type Campaign struct {
 	// when pooling is disabled, in which case every clone is a cold
 	// FromSnapshot rebuild accounted in coldStats).
 	clones *cluster.ClonePool
+	// evaluator checks pooled clones of a centralized campaign against the
+	// pool's store incrementally (nil otherwise: checker.CheckAll in full).
+	evaluator *checker.Evaluator
 	// cloneBase is the shared pool's stats at campaign start (zero when the
 	// campaign owns its pool): CloneStats reports the delta, so a shared
 	// pool's earlier campaigns are not re-counted.
@@ -608,6 +611,8 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 		if err := validateFederatedProps(c.props); err != nil {
 			return nil, err
 		}
+	} else if c.clones != nil {
+		c.evaluator = checker.NewEvaluator(c.clones.Store(), c.props)
 	}
 	c.em.emit(Event{Kind: EventSnapshot})
 

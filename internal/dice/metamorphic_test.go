@@ -3,10 +3,12 @@ package dice
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"github.com/dice-project/dice/internal/checker"
 	"github.com/dice-project/dice/internal/cluster"
 	"github.com/dice-project/dice/internal/faults"
 	"github.com/dice-project/dice/internal/federation"
@@ -124,6 +126,54 @@ func TestMetamorphicFederatedEqualsCentralized(t *testing.T) {
 				t.Errorf("federated run did not exercise the summary bus: %+v", federated.Disclosed)
 			}
 		})
+	}
+}
+
+// TestMetamorphicFederatedEqualsCentralizedHetero3 is the federation
+// equivalence for the differential oracle: on the three-way heterogeneous
+// demo, where every PartitionByAS domain is a single router, the per-domain
+// checks must still compare the policies the *deployment* mixes. A domain
+// view that judged itself homogeneous silently lost every
+// cross-impl-divergence detection.
+func TestMetamorphicFederatedEqualsCentralizedHetero3(t *testing.T) {
+	topo := topology.Demo27Hetero3()
+	mc := metamorphicCase{name: "demo27-hetero3", topo: topo, opts: cluster.Options{Seed: 7, GaoRexford: true}}
+	extra := []CampaignOption{
+		WithSeed(7),
+		WithBudget(Budget{TotalInputs: 54}),
+		WithProperties(append(checker.DefaultProperties(topo), checker.CrossImplDivergence{})...),
+	}
+	keys := func(r *CampaignResult) []string {
+		ks := make([]string, 0, len(r.Detections))
+		for _, d := range r.Detections {
+			ks = append(ks, d.Violation.Key())
+		}
+		sort.Strings(ks)
+		return ks
+	}
+	central := keys(mc.campaign(t, mc.deploy(t), extra...))
+	federated := keys(mc.campaign(t, mc.deploy(t), append(extra, WithFederation(federation.PartitionByAS(topo)))...))
+	divergent := 0
+	for _, k := range central {
+		if strings.HasPrefix(k, "cross-impl-divergence|") {
+			divergent++
+		}
+	}
+	if divergent == 0 {
+		t.Fatal("the centralized campaign flagged no divergence; the equivalence is vacuous")
+	}
+	if !reflect.DeepEqual(federated, central) {
+		missing := 0
+		have := make(map[string]bool, len(federated))
+		for _, k := range federated {
+			have[k] = true
+		}
+		for _, k := range central {
+			if !have[k] {
+				missing++
+			}
+		}
+		t.Errorf("federated found %d detections, centralized %d (%d of them divergences); %d centralized detections are missing", len(federated), len(central), divergent, missing)
 	}
 }
 

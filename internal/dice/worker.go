@@ -142,7 +142,12 @@ func (c *Campaign) runClone(ctx context.Context, u Unit, in *concolic.Input, m *
 	if c.fed != nil {
 		violations, disclosed = c.checkCloneFederated(shadow, u)
 	} else {
-		report := checker.CheckAll(shadow, c.props)
+		var report *checker.Report
+		if c.evaluator != nil {
+			report = c.evaluator.CheckAll(shadow)
+		} else {
+			report = checker.CheckAll(shadow, c.props)
+		}
 		violations, disclosed = report.Violations(), report.DisclosedBytes()
 	}
 	return cloneOutcome{

@@ -449,10 +449,19 @@ func (r *Router) ResetTo(nim node.Image, nst node.State) error {
 	r.explore = exploration{}
 	r.activeMachine = nil
 	r.hook = nil
-	if !r.moved && r.resetIm == im && r.resetSt == st {
+	if r.Holds(im, st) {
 		return nil
 	}
 	return r.applyState(im, st)
+}
+
+// Holds reports whether the router's checkpointed state is exactly that of
+// (image, state): it was last reset onto this very pair and no entry point
+// ran since. It is the optional interface the incremental checker probes; a
+// router that holds the snapshot's pair is the snapshot, so whatever was
+// computed on it once stands.
+func (r *Router) Holds(im node.Image, st node.State) bool {
+	return !r.moved && im == node.Image(r.resetIm) && st == node.State(r.resetSt)
 }
 
 // applyState overwrites the router's mutable state with a fresh
