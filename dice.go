@@ -229,6 +229,8 @@ type (
 	LiveOptions = live.Options
 	// LiveStats aggregates a soak's counters (pauses, deltas, dedupe, overhead).
 	LiveStats = live.Stats
+	// LiveEpochSummary is one epoch's row of soak history (LiveOptions.OnEpoch).
+	LiveEpochSummary = live.EpochSummary
 	// LiveReport is the soak's violation store.
 	LiveReport = live.Report
 	// LiveFinding is one detection with epoch/scenario provenance and its

@@ -8,10 +8,13 @@
 // session); the soak must find them online, shrink each detection to a
 // minimal replayable trace, and re-prove that trace against a cold clone of
 // the epoch it was found in. The second half of the soak goes idle, so the
-// cross-epoch dedupe cache must skip the unchanged epochs outright.
+// cross-epoch dedupe cache must skip the unchanged epochs outright — and their
+// cuts must cost nothing: a router that did not move hands out the checkpoint
+// it already took, and the ring takes it over without encoding or hashing it.
 //
 // The example is a CI smoke: it exits non-zero unless the violation is
-// found, minimized, and replayed, and unless dedupe saved work.
+// found, minimized, and replayed, unless dedupe saved work, and unless every
+// deduped epoch reused every router's checkpoint.
 package main
 
 import (
@@ -53,6 +56,7 @@ func main() {
 	}
 
 	findings := 0
+	var rows []dice.LiveEpochSummary
 	rt, err := dice.NewLiveRuntime(deployment, topo, dice.LiveOptions{
 		Seed:              1,
 		ClusterOptions:    opts,
@@ -62,6 +66,7 @@ func main() {
 		FuzzSeeds:         2,
 		ScenariosPerEpoch: 0, // draw every registered scenario each epoch
 		Explorers:         []string{"R1"},
+		OnEpoch:           func(s dice.LiveEpochSummary) { rows = append(rows, s) },
 		OnFinding: func(f *dice.LiveFinding) {
 			findings++
 			if findings <= 5 {
@@ -85,6 +90,8 @@ func main() {
 	fmt.Printf("epochs: %d (pause mean %v, max %v; %d bytes/epoch full, %d delta)\n",
 		stats.Epochs, stats.PauseMean().Round(time.Microsecond), stats.CheckpointPauseMax.Round(time.Microsecond),
 		stats.SnapshotBytesTotal/stats.Epochs, stats.DeltaBytesTotal/stats.Epochs)
+	fmt.Printf("cuts: %d of %d router checkpoints taken over unchanged from the epoch before\n",
+		stats.CheckpointNodesReused, stats.Epochs*len(topo.Nodes))
 	fmt.Printf("exploration: %d campaigns, %d inputs; dedupe skipped %d campaigns (%d inputs saved)\n",
 		stats.Campaigns, stats.InputsExplored, stats.CampaignsDeduped, stats.InputsSaved)
 	fmt.Printf("findings: %d (first in epoch %d); traces minimized %d -> %d steps\n",
@@ -115,10 +122,18 @@ func main() {
 	if stats.CampaignsDeduped == 0 || stats.InputsSaved == 0 {
 		log.Fatal("FAIL: idle epochs were re-explored; cross-epoch dedupe saved nothing")
 	}
+	for _, row := range rows {
+		switch quiet := row.Campaigns == 0 && row.CampaignsDeduped > 0; {
+		case quiet && row.NodesReused != len(topo.Nodes):
+			log.Fatalf("FAIL: deduped epoch %d re-cut %d of %d routers that had not moved", row.Seq, len(topo.Nodes)-row.NodesReused, len(topo.Nodes))
+		case !quiet && row.NodesReused >= len(topo.Nodes):
+			log.Fatalf("FAIL: churn epoch %d reused every checkpoint; the count means nothing", row.Seq)
+		}
+	}
 	// Non-perturbation (exploration never mutates the deployment) cannot be
 	// asserted here — the example's own churn legitimately changes the
 	// deployment — so it is pinned by TestRuntimeSoakDetectsMisOrigination,
 	// which soaks with idle traffic and compares TotalBestChanges.
 	fmt.Println()
-	fmt.Println("OK: detected online, minimized, replayed from a cold clone; unchanged epochs deduped")
+	fmt.Println("OK: detected online, minimized, replayed from a cold clone; unchanged epochs deduped and cut for free")
 }

@@ -658,7 +658,10 @@ func RunE7(cfg ExperimentConfig) (*E7Result, error) {
 	props := checker.DefaultProperties(topo)
 	report := checker.CheckAll(live, props)
 	narrow := report.DisclosedBytes()
-	full := checker.FullStateDisclosure(live)
+	full, err := checker.FullStateDisclosure(live)
+	if err != nil {
+		return nil, err
+	}
 	detected := false
 	for _, v := range report.Violations() {
 		if v.Class == checker.ClassOperatorMistake {

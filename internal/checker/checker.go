@@ -251,17 +251,10 @@ func PropertiesByName(topo *topology.Topology, names ...string) ([]Property, err
 // FullStateDisclosure computes the number of bytes that would cross domain
 // boundaries if nodes shared their entire checkpoints with the checking plane
 // instead of verdicts — the baseline the narrow interface is compared against
-// in experiment E7.
-func FullStateDisclosure(c *cluster.Cluster) int {
-	total := 0
-	for _, name := range c.RouterNames() {
-		data, err := checkpoint.EncodeNode(c.Router(name).TakeCheckpoint())
-		if err != nil {
-			continue
-		}
-		total += len(data)
-	}
-	return total
+// in experiment E7: the sum of the per-node canonical encodings of one cut.
+func FullStateDisclosure(c *cluster.Cluster) (int, error) {
+	sizes, err := checkpoint.Measure(c.Snapshot())
+	return sizes.NodeBytes(), err
 }
 
 //

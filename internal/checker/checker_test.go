@@ -41,7 +41,10 @@ func TestAllPropertiesHoldOnHealthySystem(t *testing.T) {
 		t.Errorf("disclosure accounting missing")
 	}
 	// The narrow interface shares far less than full node state.
-	full := FullStateDisclosure(c)
+	full, err := FullStateDisclosure(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if report.DisclosedBytes() >= full {
 		t.Errorf("narrow interface (%d bytes) should be smaller than full state (%d bytes)",
 			report.DisclosedBytes(), full)
@@ -168,8 +171,8 @@ func TestLoopFreedomCleanAndDisclosureMinimal(t *testing.T) {
 	if res.DisclosedBytes <= 0 {
 		t.Errorf("loop checking must account for its (minimal) disclosure")
 	}
-	if res.DisclosedBytes >= FullStateDisclosure(c) {
-		t.Errorf("projection disclosure should be far below full state")
+	if full, err := FullStateDisclosure(c); err != nil || res.DisclosedBytes >= full {
+		t.Errorf("projection disclosure %d should be far below full state (%d, %v)", res.DisclosedBytes, full, err)
 	}
 	_ = topo
 }

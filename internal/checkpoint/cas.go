@@ -47,12 +47,17 @@ func HashNode(cp node.Checkpoint) (Hash, error) {
 // that did not change between ring epochs shares one decoded form across all
 // of them.
 type casBlob struct {
+	hash  Hash
 	data  []byte
 	cp    node.Checkpoint
 	be    node.Backend
 	image node.Image
 	state node.State
 	refs  int
+	// alias is the latest checkpoint of equal content interned under another
+	// pointer than cp. One is enough: a router hands out only its latest
+	// checkpoint, so an older alias is never asked for again.
+	alias node.Checkpoint
 }
 
 // CAS is a content-addressed store of node checkpoints with reference
@@ -63,33 +68,51 @@ type casBlob struct {
 // one CAS across its epochs so retention cost scales with how much state
 // actually changed, not with capacity × snapshot size.
 //
+// Checkpoints are immutable and a router hands the same one out until it
+// next moves (node.Router.TakeCheckpoint), so the store also resolves a
+// checkpoint by identity: one it already holds costs a pointer lookup — no
+// encode, no hash.
+//
 // A CAS is safe for concurrent use.
 type CAS struct {
 	mu    sync.Mutex
 	blobs map[Hash]*casBlob
+	// ptrs maps every retained blob's cp and alias to the blob; the entries
+	// go when the blob does.
+	ptrs map[node.Checkpoint]*casBlob
 }
 
 // NewCAS returns an empty content-addressed store.
 func NewCAS() *CAS {
-	return &CAS{blobs: make(map[Hash]*casBlob)}
+	return &CAS{blobs: make(map[Hash]*casBlob), ptrs: make(map[node.Checkpoint]*casBlob)}
 }
 
 // intern stores the checkpoint under its content hash and takes a reference.
-// On a hit the existing blob is returned and the argument's decoded forms are
-// never computed; on a miss the checkpoint is decoded into its restore-ready
-// image and state once.
-func (c *CAS) intern(cp node.Checkpoint) (Hash, *casBlob, error) {
+// A checkpoint the store already holds by pointer resolves without being
+// encoded (reused is true); otherwise it is encoded and hashed, and on a hash
+// hit the existing blob is returned, the argument's decoded forms are never
+// computed and its pointer is learnt as the blob's alias; on a miss the
+// checkpoint is decoded into its restore-ready image and state once.
+func (c *CAS) intern(cp node.Checkpoint) (b *casBlob, reused bool, err error) {
+	c.mu.Lock()
+	if b := c.ptrs[cp]; b != nil {
+		b.refs++
+		c.mu.Unlock()
+		return b, true, nil
+	}
+	c.mu.Unlock()
+
 	enc, err := EncodeNode(cp)
 	if err != nil {
-		return Hash{}, nil, err
+		return nil, false, err
 	}
 	h := HashBytes(enc)
 
 	c.mu.Lock()
 	if b, ok := c.blobs[h]; ok {
-		b.refs++
+		c.hitLocked(b, cp)
 		c.mu.Unlock()
-		return h, b, nil
+		return b, false, nil
 	}
 	c.mu.Unlock()
 
@@ -98,26 +121,41 @@ func (c *CAS) intern(cp node.Checkpoint) (Hash, *casBlob, error) {
 	// this decode is discarded.
 	be, err := node.BackendFor(cp.Implementation())
 	if err != nil {
-		return Hash{}, nil, fmt.Errorf("checkpoint: cas intern: %w", err)
+		return nil, false, fmt.Errorf("checkpoint: cas intern: %w", err)
 	}
 	im, err := be.ImageOf(cp)
 	if err != nil {
-		return Hash{}, nil, fmt.Errorf("checkpoint: cas intern: %w", err)
+		return nil, false, fmt.Errorf("checkpoint: cas intern: %w", err)
 	}
 	st, err := be.DecodeState(cp)
 	if err != nil {
-		return Hash{}, nil, fmt.Errorf("checkpoint: cas intern: %w", err)
+		return nil, false, fmt.Errorf("checkpoint: cas intern: %w", err)
 	}
-	nb := &casBlob{data: enc, cp: cp, be: be, image: im, state: st, refs: 1}
+	nb := &casBlob{hash: h, data: enc, cp: cp, be: be, image: im, state: st, refs: 1}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if b, ok := c.blobs[h]; ok {
-		b.refs++
-		return h, b, nil
+		c.hitLocked(b, cp)
+		return b, false, nil
 	}
 	c.blobs[h] = nb
-	return h, nb, nil
+	c.ptrs[cp] = nb
+	return nb, false, nil
+}
+
+// hitLocked takes a reference to a blob found by hash and learns the pointer
+// it was found under as the blob's alias, in place of the one before.
+func (c *CAS) hitLocked(b *casBlob, cp node.Checkpoint) {
+	b.refs++
+	if cp == b.cp {
+		return // a concurrent intern of this very checkpoint stored it first
+	}
+	if b.alias != nil {
+		delete(c.ptrs, b.alias)
+	}
+	b.alias = cp
+	c.ptrs[cp] = b
 }
 
 // release drops one reference to the hash, freeing the blob when no
@@ -133,6 +171,10 @@ func (c *CAS) release(h Hash) {
 	b.refs--
 	if b.refs <= 0 {
 		delete(c.blobs, h)
+		delete(c.ptrs, b.cp)
+		if b.alias != nil {
+			delete(c.ptrs, b.alias)
+		}
 	}
 }
 

@@ -209,6 +209,16 @@ type Sizes struct {
 	Messages     int
 }
 
+// NodeBytes is the sum of the per-node encodings: what shipping every node's
+// full state, without the envelope, would cost.
+func (s Sizes) NodeBytes() int {
+	total := 0
+	for _, n := range s.PerNodeBytes {
+		total += n
+	}
+	return total
+}
+
 // Measure reports the snapshot's encoded footprint. Every node checkpoint is
 // encoded exactly once (the canonical codec form); the envelope's size is
 // computed arithmetically, so TotalBytes equals len(Encode(s)) without ever

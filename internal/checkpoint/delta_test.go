@@ -23,10 +23,13 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diverged, ok := r.TakeCheckpoint().(*bird.Checkpoint)
+	taken, ok := r.TakeCheckpoint().(*bird.Checkpoint)
 	if !ok {
 		t.Fatalf("checkpoint is %T, want *bird.Checkpoint", r.TakeCheckpoint())
 	}
+	// A taken checkpoint is immutable: diverge a copy.
+	diverged := new(bird.Checkpoint)
+	*diverged = *taken
 	diverged.Stats.UpdatesReceived += 7
 	target := base.Clone()
 	target.Nodes["A"] = diverged

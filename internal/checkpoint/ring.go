@@ -44,6 +44,10 @@ type Epoch struct {
 	// NodesChanged counts the nodes whose content hash differs from the
 	// previous epoch (all of them for the first epoch).
 	NodesChanged int
+	// NodesReused counts the nodes this push resolved by checkpoint identity:
+	// their router had not moved since a retained epoch cut it, so nothing
+	// was encoded or hashed for them.
+	NodesReused int
 	// Fingerprint is a stable digest of the whole captured state, folded from
 	// the per-node content hashes and the channel state. Two epochs with
 	// equal fingerprints captured identical systems — in any process, on any
@@ -94,14 +98,16 @@ func (r *Ring) SetClock(clock func() time.Time) {
 // Push interns the snapshot's node checkpoints into the content-addressed
 // store, measures the epoch absolutely and as a byte-level delta against the
 // previous one, tags it with the next epoch number and appends it, evicting
-// (and releasing) the oldest epoch if the ring is full. The snapshot is
-// adopted: node checkpoints whose content is already retained are replaced
+// (and releasing) the oldest epoch if the ring is full. A checkpoint a retained
+// epoch already holds by pointer is not encoded or hashed again
+// (Epoch.NodesReused), so a push costs what moved. The snapshot is adopted: node checkpoints whose content is already retained are replaced
 // with the retained decoded values, deduplicating across epochs.
 func (r *Ring) Push(snap *Snapshot) (*Epoch, error) {
 	names := snap.NodeNames()
 	hashes := make(map[string]Hash, len(names))
 	blobs := make(map[string]*casBlob, len(names))
 	interned := make([]Hash, 0, len(names))
+	reusedNodes := 0
 	fail := func(err error) (*Epoch, error) {
 		for _, h := range interned {
 			r.cas.release(h)
@@ -109,12 +115,15 @@ func (r *Ring) Push(snap *Snapshot) (*Epoch, error) {
 		return nil, fmt.Errorf("checkpoint: ring push: %w", err)
 	}
 	for _, name := range names {
-		h, b, err := r.cas.intern(snap.Nodes[name])
+		b, reused, err := r.cas.intern(snap.Nodes[name])
 		if err != nil {
 			return fail(err)
 		}
-		interned = append(interned, h)
-		hashes[name] = h
+		if reused {
+			reusedNodes++
+		}
+		interned = append(interned, b.hash)
+		hashes[name] = b.hash
 		blobs[name] = b
 		// Adopt the retained decoded checkpoint: identical content across
 		// epochs collapses to one value.
@@ -144,6 +153,7 @@ func (r *Ring) Push(snap *Snapshot) (*Epoch, error) {
 		At:          snap.At,
 		Store:       store,
 		Bytes:       sizes.TotalBytes,
+		NodesReused: reusedNodes,
 		Hashes:      hashes,
 		Fingerprint: combineHashes(snap, hashes),
 	}
@@ -158,11 +168,7 @@ func (r *Ring) Push(snap *Snapshot) (*Epoch, error) {
 	// canonical encoding, unchanged nodes ship a HashSize content reference,
 	// and the channel-state envelope (total minus the per-node parts) ships
 	// every time.
-	perNodeTotal := 0
-	for _, n := range sizes.PerNodeBytes {
-		perNodeTotal += n
-	}
-	envelope := sizes.TotalBytes - perNodeTotal
+	envelope := sizes.TotalBytes - sizes.NodeBytes()
 	var prev *Epoch
 	if n := len(r.epochs); n > 0 {
 		prev = r.epochs[n-1]

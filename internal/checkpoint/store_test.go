@@ -89,10 +89,13 @@ func TestStoreDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diverged, ok := r.TakeCheckpoint().(*bird.Checkpoint)
+	taken, ok := r.TakeCheckpoint().(*bird.Checkpoint)
 	if !ok {
 		t.Fatalf("restored router checkpoint is %T, want *bird.Checkpoint", r.TakeCheckpoint())
 	}
+	// A taken checkpoint is immutable: diverge a copy.
+	diverged := new(bird.Checkpoint)
+	*diverged = *taken
 	diverged.Stats.UpdatesReceived += 3
 	d, err := store.Delta("A", diverged)
 	if err != nil {

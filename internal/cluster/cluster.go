@@ -283,7 +283,8 @@ func (c *Cluster) Run(until time.Duration) int {
 }
 
 // Snapshot takes a consistent cut of the cluster: every router's lightweight
-// checkpoint plus the in-flight messages.
+// checkpoint — the one it last handed out, if it has not moved since — plus
+// the in-flight messages.
 func (c *Cluster) Snapshot() *checkpoint.Snapshot {
 	s := &checkpoint.Snapshot{
 		At:         c.Net.Now(),

@@ -559,6 +559,8 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 	// A campaign constructed WithSnapshotStore explores a cut somebody else
 	// already took and decoded — it never touches the live cluster.
 	snapStart := time.Now()
+	var snapDuration time.Duration
+	measure := func() (checkpoint.Sizes, error) { return checkpoint.Measure(c.snap) }
 	if c.cfg.store != nil {
 		c.snap = c.cfg.store.Snapshot()
 		if c.cfg.pooledClones && c.cfg.remote == nil {
@@ -569,18 +571,7 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 				c.clones = cluster.NewClonePool(c.topo, c.cfg.store, c.cfg.clusterOptions)
 			}
 		}
-		c.snapStats = snapshotStats{
-			SnapshotNodes:    len(c.snap.Nodes),
-			InFlightMessages: len(c.snap.InFlight),
-		}
-		if sizes, err := c.cfg.store.Sizes(); err == nil {
-			c.snapStats.SnapshotBytes = sizes.TotalBytes
-			// The store's baseline encodings are what a full-state exchange
-			// would ship; the live cluster (possibly nil) stays untouched.
-			for _, n := range sizes.PerNodeBytes {
-				c.snapStats.FullStateBytes += n
-			}
-		}
+		measure = c.cfg.store.Sizes
 	} else {
 		if c.live == nil {
 			return nil, ErrNoDeployment
@@ -592,16 +583,22 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 				return nil, err
 			}
 			c.clones = cluster.NewClonePool(c.topo, store, c.cfg.clusterOptions)
+			measure = store.Sizes
 		}
-		c.snapStats = snapshotStats{
-			SnapshotDuration: time.Since(snapStart),
-			SnapshotNodes:    len(c.snap.Nodes),
-			InFlightMessages: len(c.snap.InFlight),
-			FullStateBytes:   checker.FullStateDisclosure(c.live),
-		}
-		if sizes, err := checkpoint.Measure(c.snap); err == nil {
-			c.snapStats.SnapshotBytes = sizes.TotalBytes
-		}
+		snapDuration = time.Since(snapStart)
+	}
+	// One cut, one encode pass: the per-node encodings the snapshot is sized
+	// from are also what a full-state exchange would ship.
+	sizes, err := measure()
+	if err != nil {
+		return nil, err
+	}
+	c.snapStats = snapshotStats{
+		SnapshotDuration: snapDuration,
+		SnapshotBytes:    sizes.TotalBytes,
+		SnapshotNodes:    len(c.snap.Nodes),
+		InFlightMessages: len(c.snap.InFlight),
+		FullStateBytes:   sizes.NodeBytes(),
 	}
 	c.props = c.cfg.properties
 	if c.props == nil {

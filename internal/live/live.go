@@ -266,9 +266,12 @@ type Stats struct {
 	StrideRelaxes       int
 	CheckpointStride    int
 
-	// Epoch footprint accounting.
-	SnapshotBytesTotal int
-	DeltaBytesTotal    int
+	// Epoch footprint accounting. CheckpointNodesReused counts the router
+	// checkpoints the cuts took over unchanged from a retained epoch — not
+	// rebuilt, not encoded, not hashed.
+	SnapshotBytesTotal    int
+	DeltaBytesTotal       int
+	CheckpointNodesReused int
 
 	// Exploration accounting. The *Saved counters are what the cross-epoch
 	// dedupe cache avoided re-running on unchanged state.
@@ -358,6 +361,7 @@ type EpochSummary struct {
 	Bytes        int
 	DeltaBytes   int
 	NodesChanged int
+	NodesReused  int
 
 	// Exploration activity (this epoch only).
 	Explore          time.Duration
@@ -660,10 +664,12 @@ func (rt *Runtime) Run(ctx context.Context) (*Report, error) {
 		rt.stats.CheckpointStride = stride
 		rt.stats.SnapshotBytesTotal += ep.Bytes
 		rt.stats.DeltaBytesTotal += ep.DeltaBytes
+		rt.stats.CheckpointNodesReused += ep.NodesReused
 		rt.mu.Unlock()
 
-		rt.tracef("epoch %d: cut %v (%d bytes, delta %d, %d/%d nodes changed)",
-			ep.Seq, pause.Round(time.Microsecond), ep.Bytes, ep.DeltaBytes, ep.NodesChanged, len(snap.Nodes))
+		rt.tracef("epoch %d: cut %v (%d/%d routers re-cut, %d bytes, delta %d, %d/%d nodes changed)",
+			ep.Seq, pause.Round(time.Microsecond), len(snap.Nodes)-ep.NodesReused, len(snap.Nodes),
+			ep.Bytes, ep.DeltaBytes, ep.NodesChanged, len(snap.Nodes))
 
 		meta := epochMeta{pause: pause, process: procTime, traffic: trafficTime, overBudget: overBudget, stride: stride}
 		if rt.opts.Overlap {
@@ -721,6 +727,7 @@ func (rt *Runtime) exploreEpoch(ctx context.Context, ep *checkpoint.Epoch, meta 
 		Bytes:            ep.Bytes,
 		DeltaBytes:       ep.DeltaBytes,
 		NodesChanged:     ep.NodesChanged,
+		NodesReused:      ep.NodesReused,
 		Explore:          after.ExploreTime - before.ExploreTime,
 		Campaigns:        after.Campaigns - before.Campaigns,
 		CampaignsDeduped: after.CampaignsDeduped - before.CampaignsDeduped,

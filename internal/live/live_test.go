@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -897,4 +898,105 @@ next:
 		n++
 	}
 	return n
+}
+
+// soakRows runs a soak of a Line(6) whose far end hijacks R1's prefix — two
+// churn epochs, then an idle deployment — and returns the finding keys, the per-epoch fingerprints and the epoch
+// summaries with their timings blanked. With touchAll, a KEEPALIVE is
+// delivered to every router in every epoch: on an Established session it
+// changes nothing and sends nothing, but it is an entry point, so every router
+// counts as moved and the whole cut is rebuilt, re-encoded and re-hashed —
+// the full computation an untouched soak must be indistinguishable from.
+func soakRows(t *testing.T, touchAll bool) (keys []string, fingerprints []uint64, rows []EpochSummary) {
+	t.Helper()
+	topo := topology.Line(6)
+	opts := cluster.Options{Seed: 1, ConfigOverride: faults.ApplyConfigFaults(
+		faults.MisOrigination{Router: "R6", Prefix: topo.Nodes[0].Prefixes[0]})}
+	deployed := cluster.MustBuild(topo, opts)
+	deployed.Converge()
+	churn := DefaultTraffic(1)
+	keepalive := bgp.Encode(&bgp.Keepalive{})
+	var ring *checkpoint.Ring
+	rt, err := NewRuntime(deployed, topo, Options{
+		Seed:              1,
+		ClusterOptions:    opts,
+		MaxEpochs:         6,
+		InputsPerScenario: 3,
+		FuzzSeeds:         2,
+		Explorers:         []string{"R2"},
+		Workers:           1,
+		PauseBudget:       time.Hour,
+		Traffic: func(c *cluster.Cluster, rng *rand.Rand, epoch int) {
+			if epoch <= 2 {
+				churn(c, rng, epoch)
+			}
+			if touchAll {
+				for _, name := range c.RouterNames() {
+					c.InjectRaw(topo.NeighborsOf(name)[0], name, keepalive)
+				}
+			}
+		},
+		OnEpoch: func(s EpochSummary) {
+			fingerprints = append(fingerprints, ring.Get(s.Seq).Fingerprint)
+			s.UnixNano, s.Pause, s.Process, s.Traffic, s.Explore = 0, 0, 0, 0, 0
+			rows = append(rows, s)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring = rt.Ring()
+	report, err := rt.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range report.Findings() {
+		keys = append(keys, fmt.Sprintf("%d %s %s %d %s %v", f.Epoch, f.Scenario, f.Explorer, f.InputIndex, f.Violation.Key(), f.Trace))
+	}
+	if got := rt.Stats().CheckpointNodesReused; got != sumReused(rows) {
+		t.Errorf("stats count %d reused checkpoints, the epoch rows %d", got, sumReused(rows))
+	}
+	return keys, fingerprints, rows
+}
+
+func sumReused(rows []EpochSummary) (n int) {
+	for _, r := range rows {
+		n += r.NodesReused
+	}
+	return n
+}
+
+// TestSoakUnchangedByCheckpointReuse: routers that did not move keep their
+// checkpoints from epoch to epoch and the ring resolves those by identity.
+// Nothing an operator or the explorer can see may depend on it.
+func TestSoakUnchangedByCheckpointReuse(t *testing.T) {
+	keys, fps, rows := soakRows(t, false)
+	fullKeys, fullFps, fullRows := soakRows(t, true)
+	if len(keys) == 0 || len(rows) != 6 {
+		t.Fatalf("%d findings over %d epochs; the soak is vacuous", len(keys), len(rows))
+	}
+	nodes := 6
+	if rows[0].NodesReused != 0 || rows[1].NodesReused == 0 || rows[1].NodesReused >= nodes {
+		t.Errorf("first cut reused %d checkpoints, first churn epoch %d of %d", rows[0].NodesReused, rows[1].NodesReused, nodes)
+	}
+	for i := range rows {
+		quiet := rows[i].Seq > 2
+		if quiet && (rows[i].NodesReused != nodes || rows[i].NodesChanged != 0 || rows[i].CampaignsDeduped == 0) {
+			t.Errorf("quiet epoch %d: %d of %d checkpoints reused, %d nodes changed, %d campaigns deduped",
+				rows[i].Seq, rows[i].NodesReused, nodes, rows[i].NodesChanged, rows[i].CampaignsDeduped)
+		}
+		if fullRows[i].NodesReused != 0 {
+			t.Errorf("epoch %d of the soak that touches every router reused %d checkpoints", fullRows[i].Seq, fullRows[i].NodesReused)
+		}
+		rows[i].NodesReused, fullRows[i].NodesReused = 0, 0
+	}
+	if !reflect.DeepEqual(keys, fullKeys) {
+		t.Errorf("findings differ:\n reuse %v\n full  %v", keys, fullKeys)
+	}
+	if !reflect.DeepEqual(fps, fullFps) {
+		t.Errorf("epoch fingerprints differ:\n reuse %x\n full  %x", fps, fullFps)
+	}
+	if !reflect.DeepEqual(rows, fullRows) {
+		t.Errorf("epoch rows differ:\n reuse %+v\n full  %+v", rows, fullRows)
+	}
 }

@@ -42,6 +42,8 @@ func RegisterMetrics(reg *obs.Registry, rt func() *Runtime) {
 		func() float64 { return float64(stats().SnapshotBytesTotal) })
 	reg.CounterFunc("dice_live_delta_bytes_total", "Cumulative delta-shipping cost of the checkpoint stream.",
 		func() float64 { return float64(stats().DeltaBytesTotal) })
+	reg.CounterFunc("dice_live_checkpoint_nodes_reused_total", "Router checkpoints a cut took over unchanged from a retained epoch (not rebuilt, encoded or hashed).",
+		func() float64 { return float64(stats().CheckpointNodesReused) })
 	reg.CounterFunc("dice_live_epochs_superseded_total", "Epochs replaced by a fresher one before exploration (Overlap backpressure).",
 		func() float64 { return float64(stats().EpochsSuperseded) })
 

@@ -85,7 +85,8 @@ type RouteEvent struct {
 // treats it as opaque data tagged with the node name and the implementation
 // needed to restore it. Backends register a canonical encoder and decoder
 // for their concrete checkpoint type, which is how mixed-implementation
-// snapshots cross process boundaries.
+// snapshots cross process boundaries. Backends hand out pointers: a
+// checkpoint is immutable once taken, so its identity stands for its content.
 type Checkpoint interface {
 	// NodeName is the checkpointed router's name.
 	NodeName() string
@@ -141,7 +142,12 @@ type Router interface {
 	// boundaries through the narrow information-sharing interface.
 	CheckInvariants() []string
 
-	// TakeCheckpoint captures the router's current state.
+	// TakeCheckpoint captures the router's current state. The result is
+	// immutable — callers must not write through it; copy it to diverge it —
+	// and a backend may return the very same value again until the router
+	// next moves (see the mutation rule above), which is what lets a cut, its
+	// encoding and its hash cost only what moved since the cut before. Like
+	// every other method, it is not safe for concurrent calls on one router.
 	TakeCheckpoint() Checkpoint
 	// ResetTo returns the router to the snapshot described by (image, state)
 	// in place: afterwards its state equals a fresh restore of the pair, and

@@ -38,7 +38,10 @@ type proxy struct {
 	resetSt *State
 	machine *concolic.Machine
 	hook    node.UpdateHook
-	err     error // first fatal failure; the proxy is dead once set
+	// cut wraps the mirror's checkpoint; it is handed out again for as long as
+	// the mirror hands out the same inner one.
+	cut *Checkpoint
+	err error // first fatal failure; the proxy is dead once set
 }
 
 // reply is a parsed codec.KindProcDone.
@@ -402,7 +405,10 @@ func (p *proxy) CheckInvariants() []string {
 func (p *proxy) TakeCheckpoint() node.Checkpoint {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return &Checkpoint{Inner: p.refreshedLocked().TakeCheckpoint()}
+	if inner := p.refreshedLocked().TakeCheckpoint(); p.cut == nil || p.cut.Inner != inner {
+		p.cut = &Checkpoint{Inner: inner}
+	}
+	return p.cut
 }
 
 func (p *proxy) ResetTo(im node.Image, st node.State) error {
@@ -490,6 +496,19 @@ func (p *proxy) Unhealthy() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.err
+}
+
+// Mirror returns the parent-side mirror of r, brought in step with the child,
+// or nil when r is not a procdriver router. Test seam: the mirror's own
+// builder is the uncached reference for what TakeCheckpoint hands out.
+func Mirror(r node.Router) node.Router {
+	p, ok := r.(*proxy)
+	if !ok {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.refreshedLocked()
 }
 
 // Kill terminates r's subprocess out from under the proxy, simulating an

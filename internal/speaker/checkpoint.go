@@ -59,17 +59,24 @@ func (cp *Checkpoint) NodeName() string { return cp.Name }
 // Implementation implements node.Checkpoint.
 func (cp *Checkpoint) Implementation() string { return cp.Impl }
 
-// TakeCheckpoint implements node.Router.
-func (r *Router) TakeCheckpoint() node.Checkpoint { return r.Checkpoint() }
+// TakeCheckpoint implements node.Router: the checkpoint last built is handed
+// out again, by pointer, until the router next moves (touch).
+func (r *Router) TakeCheckpoint() node.Checkpoint {
+	if r.cut == nil {
+		r.cut = r.Checkpoint()
+	}
+	return r.cut
+}
 
-// Checkpoint captures the router's current state.
+// Checkpoint captures the router's current state into a fresh value — the one
+// builder, which TakeCheckpoint runs when it holds no current checkpoint.
 func (r *Router) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{
 		Impl:       r.d.Name,
 		Name:       r.cfg.Name,
 		ConfigText: r.d.Render(r.cfg),
-		AdjIn:      make(node.PeerRouteMap),
-		AdjOut:     make(node.PeerRouteMap),
+		AdjIn:      make(node.PeerRouteMap, len(r.cfg.Neighbors)),
+		AdjOut:     make(node.PeerRouteMap, len(r.cfg.Neighbors)),
 		Stats:      r.stats,
 		Panicked:   r.panicked,
 		LastPanic:  r.lastPanic,
@@ -90,6 +97,10 @@ func (r *Router) Checkpoint() *Checkpoint {
 	if r.d.EngineStats {
 		cp.Engine = r.engine
 	}
+	// Every slice is sized before it is filled. Each Loc-RIB candidate is a
+	// route some Adj-RIB-In holds or a local one.
+	cp.Sessions = make([]node.SessionRecord, 0, len(r.cfg.Neighbors))
+	candidates := len(r.cfg.Networks)
 	for _, n := range r.cfg.Neighbors {
 		s := r.sessions[n.Name]
 		cp.Sessions = append(cp.Sessions, node.SessionRecord{
@@ -101,27 +112,45 @@ func (r *Router) Checkpoint() *Checkpoint {
 			NotificationsSent:     s.notificationsSent,
 			NotificationsReceived: s.notificationsReceived,
 		})
-		for _, route := range s.adjIn.Routes() {
-			cp.AdjIn[n.Name] = append(cp.AdjIn[n.Name], node.RecordFromRoute(route))
+		if recs := recordsOf(s.adjIn.Routes()); recs != nil {
+			cp.AdjIn[n.Name] = recs
+			candidates += len(recs)
 		}
-		for _, route := range s.adjOut.Routes() {
-			cp.AdjOut[n.Name] = append(cp.AdjOut[n.Name], node.RecordFromRoute(route))
+		if recs := recordsOf(s.adjOut.Routes()); recs != nil {
+			cp.AdjOut[n.Name] = recs
 		}
 	}
+	cp.LocRIB = make([]node.RouteRecord, 0, candidates)
 	for _, p := range r.locRIB.Prefixes() {
 		for _, cand := range r.locRIB.Candidates(p) {
 			cp.LocRIB = append(cp.LocRIB, node.RecordFromRoute(cand))
 		}
 	}
-	for _, ev := range r.events {
-		cp.Events = append(cp.Events, node.EventRecord{
-			AtNanos: int64(ev.At),
-			Prefix:  ev.Prefix.String(),
-			OldVia:  ev.OldVia,
-			NewVia:  ev.NewVia,
-		})
+	if len(r.events) > 0 {
+		cp.Events = make([]node.EventRecord, len(r.events))
+		for i, ev := range r.events {
+			cp.Events[i] = node.EventRecord{
+				AtNanos: int64(ev.At),
+				Prefix:  ev.Prefix.String(),
+				OldVia:  ev.OldVia,
+				NewVia:  ev.NewVia,
+			}
+		}
 	}
 	return cp
+}
+
+// recordsOf renders routes into their record forms; no routes is nil, so a
+// peer without any stays absent from the checkpoint's peer maps.
+func recordsOf(routes []*rib.Route) []node.RouteRecord {
+	if len(routes) == 0 {
+		return nil
+	}
+	out := make([]node.RouteRecord, len(routes))
+	for i, route := range routes {
+		out[i] = node.RecordFromRoute(route)
+	}
+	return out
 }
 
 // Image is the immutable, shareable part of a router: its validated
@@ -471,7 +500,7 @@ func (r *Router) Holds(im node.Image, st node.State) bool {
 // reallocated. The router stays marked moved until the last field is written,
 // so a failed or half-finished apply is never mistaken for a clean reset.
 func (r *Router) applyState(im *Image, st *State) error {
-	r.moved = true
+	r.touch()
 	r.bind(im.cfg)
 	unknown := func(peer string) error {
 		return fmt.Errorf("%s: restore %s: unknown session %s", r.d.Name, im.cfg.Name, peer)

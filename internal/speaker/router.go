@@ -121,6 +121,17 @@ type Router struct {
 	moved   bool
 	resetIm *Image
 	resetSt *State
+	// cut is the checkpoint TakeCheckpoint last built, handed out again until
+	// the router next moves: a cut costs what moved since the one before.
+	cut *Checkpoint
+}
+
+// touch records that checkpointed state is about to change: the router counts
+// as moved and its cached checkpoint is dropped. Every write path goes
+// through it — the entry points, applyState, and CheckInvariants' counter.
+func (r *Router) touch() {
+	r.moved = true
+	r.cut = nil
 }
 
 // Interface check: Router is a full node.Router backend.
@@ -269,7 +280,7 @@ func (r *Router) Start(env netem.Env) {
 	if r.started {
 		return
 	}
-	r.moved = true
+	r.touch()
 	r.started = true
 	for _, n := range r.cfg.Neighbors {
 		r.startSession(env, r.sessions[n.Name])
@@ -294,7 +305,7 @@ func (r *Router) sendOpen(env netem.Env, s *session) {
 
 // HandleTimer implements netem.Node.
 func (r *Router) HandleTimer(env netem.Env, name string) {
-	r.moved = true
+	r.touch()
 	if peer, ok := strings.CutPrefix(name, "retry/"); ok {
 		if s := r.sessions[peer]; s != nil && !s.established() {
 			r.startSession(env, s)
@@ -316,7 +327,7 @@ func (r *Router) HandleTimer(env netem.Env, name string) {
 // than taking the whole emulation down, mirroring a daemon that crashes and
 // gets flagged by its supervisor.
 func (r *Router) HandleMessage(env netem.Env, from netem.NodeID, payload []byte) {
-	r.moved = true
+	r.touch()
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.panicked = true
@@ -472,7 +483,11 @@ func (r *Router) recvUpdate(env netem.Env, s *session, body []byte) {
 	}
 
 	if r.hook != nil {
-		if herr := r.hook(r, s.peer, u); herr != nil {
+		herr := r.hook(r, s.peer, u)
+		// A checkpoint the hook took is of a half-handled UPDATE: never the
+		// one to hand out again.
+		r.cut = nil
+		if herr != nil {
 			// The injected programming error "crashed" the handler.
 			r.panicked = true
 			r.lastPanic = herr.Error()
@@ -673,8 +688,8 @@ func (r *Router) CheckInvariants() []string {
 	// counts as a move, or a clean pooled router would carry it into the next
 	// lease where a cold clone has the snapshot's value.
 	if n := len(violations); r.stats.InvariantFailures != n {
+		r.touch()
 		r.stats.InvariantFailures = n
-		r.moved = true
 	}
 	return violations
 }
