@@ -494,6 +494,7 @@ type E5Row struct {
 	UniquePaths     int
 	CoverageSites   int
 	SolverQueries   int
+	SolverSteps     int
 	FoundBug        bool
 	InputsToFindBug int
 }
@@ -525,6 +526,7 @@ func RunE5(cfg ExperimentConfig) ([]E5Row, error) {
 			UniquePaths:   res.ExplorerStats.UniquePaths,
 			CoverageSites: res.ExplorerStats.CoverageSites,
 			SolverQueries: res.ExplorerStats.SolverQueries,
+			SolverSteps:   res.ExplorerStats.SolverSteps,
 		}
 		if d := res.FirstDetection(checker.ClassProgrammingError); d != nil {
 			row.FoundBug = true
@@ -556,10 +558,10 @@ func RunE5(cfg ExperimentConfig) ([]E5Row, error) {
 func FormatE5(rows []E5Row) string {
 	var b strings.Builder
 	b.WriteString("E5 (exploration effectiveness):\n")
-	b.WriteString("  mode               inputs  paths  coverage  solver-queries  bug-found  inputs-to-bug\n")
+	b.WriteString("  mode               inputs  paths  coverage  solver-queries  solver-steps  bug-found  inputs-to-bug\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-17s  %6d  %5d  %8d  %14d  %9v  %13d\n",
-			r.Mode, r.Inputs, r.UniquePaths, r.CoverageSites, r.SolverQueries, r.FoundBug, r.InputsToFindBug)
+		fmt.Fprintf(&b, "  %-17s  %6d  %5d  %8d  %14d  %12d  %9v  %13d\n",
+			r.Mode, r.Inputs, r.UniquePaths, r.CoverageSites, r.SolverQueries, r.SolverSteps, r.FoundBug, r.InputsToFindBug)
 	}
 	return b.String()
 }

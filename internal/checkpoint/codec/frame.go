@@ -29,8 +29,9 @@ const (
 	// VersionControl is the control wire revision. 2 moved baselines to the
 	// codec encoding and added content hashes; 3 reduced results to digests
 	// (RemoteResult); 4 replaced the gob message bodies and the 'D''W'
-	// header with codec records in this package's stream frame.
-	VersionControl = 4
+	// header with codec records in this package's stream frame; 5 added the
+	// explorer's solver step count to results.
+	VersionControl = 5
 	// VersionProc is the procdriver pipe revision.
 	VersionProc = 1
 )

@@ -77,12 +77,15 @@ type ExecError struct {
 
 // Stats aggregates exploration counters.
 type Stats struct {
-	Executions     int
-	UniquePaths    int
-	UniqueInputs   int
-	BranchesSeen   int
-	CoverageSites  int
-	SolverQueries  int
+	Executions    int
+	UniquePaths   int
+	UniqueInputs  int
+	BranchesSeen  int
+	CoverageSites int
+	SolverQueries int
+	// SolverSteps sums the candidate assignments the solver evaluated over
+	// all queries (solver.Result.Steps): how hard it worked, not how often.
+	SolverSteps    int
 	SolverSat      int
 	SolverUnsat    int
 	SolverUnknown  int
@@ -146,6 +149,9 @@ func (f *frontier) Pop() interface{} {
 type Explorer struct {
 	execute ExecuteFunc
 	opts    ExplorerOptions
+	// session answers every flip of a path; conds is its reused path.
+	session *solver.Session
+	conds   []*expr.Expr
 
 	queue      frontier
 	seenInput  map[uint64]bool
@@ -161,9 +167,11 @@ func NewExplorer(execute ExecuteFunc, opts ExplorerOptions) *Explorer {
 	if execute == nil {
 		panic("concolic: nil ExecuteFunc")
 	}
+	opts = opts.withDefaults()
 	return &Explorer{
 		execute:   execute,
-		opts:      opts.withDefaults(),
+		opts:      opts,
+		session:   solver.NewSession(opts.Solver),
 		seenInput: make(map[uint64]bool),
 		seenPath:  make(map[uint64]bool),
 		coverage:  make(map[string]bool),
@@ -239,9 +247,13 @@ func (e *Explorer) RunWhile(keepGoing func() bool) (*Report, error) {
 }
 
 // Step executes a single input (with the given generational depth), records
-// its path, and derives new candidates from it. It is exported so that the
-// DiCE orchestrator can interleave exploration with snapshot cloning and
-// property checking.
+// its path, and derives new candidates from it: for every branch at or
+// beyond depth it asks the explorer's solver session for an input that keeps
+// the path before the branch and takes the other side. The session
+// propagates the path once, so a flip costs what the flipped branch costs,
+// and its answers equal a from-scratch solver.Solve of each flipped prefix.
+// It is exported so that the DiCE orchestrator can interleave exploration
+// with snapshot cloning and property checking.
 func (e *Explorer) Step(in *Input, depth int) (m *Machine, err error) {
 	m = NewMachine(in.Clone(), MachineOptions{MaxBranches: e.opts.MaxBranchesPerPath})
 	err = e.execute(m.Input(), m)
@@ -277,15 +289,15 @@ func (e *Explorer) Step(in *Input, depth int) (m *Machine, err error) {
 
 	// Generational search: negate each branch at or beyond the candidate's
 	// depth and solve for an input realizing the flipped path prefix.
+	e.conds = e.conds[:0]
+	for _, b := range path {
+		e.conds = append(e.conds, b.Cond)
+	}
+	e.session.Reset(e.conds, m.Assignment())
 	for i := depth; i < len(path); i++ {
-		constraints := make([]*expr.Expr, 0, i+1)
-		for j := 0; j < i; j++ {
-			constraints = append(constraints, path[j].Cond)
-		}
-		constraints = append(constraints, expr.Not(path[i].Cond))
-
 		e.stats.SolverQueries++
-		res := solver.Solve(constraints, m.Assignment(), e.opts.Solver)
+		res := e.session.Query(i, expr.Not(path[i].Cond))
+		e.stats.SolverSteps += res.Steps
 		switch res.Status {
 		case solver.StatusSat:
 			e.stats.SolverSat++

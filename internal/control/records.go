@@ -310,8 +310,8 @@ func result(c rw, res *RemoteResult) {
 	s := &res.ExplorerStats
 	for _, v := range []*int{
 		&s.Executions, &s.UniquePaths, &s.UniqueInputs, &s.BranchesSeen,
-		&s.CoverageSites, &s.SolverQueries, &s.SolverSat, &s.SolverUnsat,
-		&s.SolverUnknown, &s.QueueOverflows, &s.Truncated,
+		&s.CoverageSites, &s.SolverQueries, &s.SolverSteps, &s.SolverSat,
+		&s.SolverUnsat, &s.SolverUnknown, &s.QueueOverflows, &s.Truncated,
 	} {
 		num(c, v)
 	}

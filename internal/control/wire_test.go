@@ -86,7 +86,7 @@ func sampleMessages() []any {
 					DisclosedBytes: 42, Duration: time.Second,
 					ExplorerStats: concolic.Stats{
 						Executions: 1, UniquePaths: 2, UniqueInputs: 3, BranchesSeen: 4, CoverageSites: 5, SolverQueries: 6,
-						SolverSat: 7, SolverUnsat: 8, SolverUnknown: 9, QueueOverflows: 10, Truncated: 11,
+						SolverSteps: 12, SolverSat: 7, SolverUnsat: 8, SolverUnknown: 9, QueueOverflows: 10, Truncated: 11,
 					},
 				}},
 				{Index: 5, Err: "boom"},
